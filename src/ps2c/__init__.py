@@ -1,10 +1,10 @@
 """Pattern-sampled shapelet classification for time series.
 
 Discretizes each series over a grid of (alphabet, window) resolutions,
-scores every symbolic substring by class association, samples the
-strongest patterns from a weighted trie, recovers their real-valued
-subsequences, and re-encodes the dataset as min-distance features for
-an off-the-shelf classifier.
+scores every symbolic substring by class association, samples
+patterns in proportion to their temperature-scaled scores, recovers
+their real-valued subsequences, and re-encodes the dataset as
+min-distance features for an off-the-shelf classifier.
 """
 
 from .dataset import (

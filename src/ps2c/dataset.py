@@ -110,14 +110,17 @@ def load_ucr(path) -> LabeledDataset:
     """Load a dataset from a UCR text file.
 
     One instance per line: class label first, then the observations.
-    The delimiter is auto-detected per file (tab if the first line
-    contains one, comma otherwise). Line lengths may differ.
+    Fields are separated by commas if the first line has one, else by
+    any whitespace (the classic UCR ``.txt`` and UCR-2018 ``.tsv``
+    layouts). Line lengths may differ; trailing ``NaN``, which pads
+    shorter series in the UCR-2018 archive, is dropped.
 
     Raises
     ------
     UcrFormatError
-        Empty file, a line with fewer than three fields, a non-numeric
-        token, or fewer than two instances/classes.
+        Empty file, a line with fewer than two values, a non-numeric
+        token, a non-finite value other than trailing NaN, or fewer than
+        two instances/classes.
     OSError
         The file cannot be read.
     """
@@ -126,25 +129,29 @@ def load_ucr(path) -> LabeledDataset:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise UcrFormatError(f"{path}: empty file")
-    delimiter = "\t" if "\t" in lines[0] else ","
+    delimiter = "," if "," in lines[0] else None  # None: any whitespace
     series: list[np.ndarray] = []
     labels: list[str] = []
     for lineno, line in enumerate(lines, 1):
         fields = [f.strip() for f in line.strip().split(delimiter)]
         fields = [f for f in fields if f]
-        if len(fields) < 3:
-            raise UcrFormatError(
-                f"{path}:{lineno}: expected a label and at least two values, "
-                f"got {len(fields)} field(s)"
-            )
-        labels.append(fields[0])
         try:
             values = np.array([float(tok) for tok in fields[1:]])
         except ValueError:
             bad = next(tok for tok in fields[1:] if not _is_number(tok))
             raise UcrFormatError(f"{path}:{lineno}: non-numeric token {bad!r}") from None
+        nan = np.isnan(values)
+        end = values.size - int(np.argmin(nan[::-1])) if not nan.all() else 0
+        if nan[:end].any():
+            raise UcrFormatError(f"{path}:{lineno}: non-finite value NaN before the last number")
+        values = values[:end]
+        if values.size < 2:
+            raise UcrFormatError(
+                f"{path}:{lineno}: expected a label and at least two values, got {values.size}"
+            )
         if not np.all(np.isfinite(values)):
             raise UcrFormatError(f"{path}:{lineno}: non-finite value")
+        labels.append(fields[0])
         series.append(values)
     if len(series) < 2:
         raise UcrFormatError(f"{path}: a dataset needs at least 2 instances")

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from statistics import NormalDist
 
 import numpy as np
-from scipy.stats import norm
 
 from .dataset import LabeledDataset
 
@@ -49,7 +49,8 @@ class SaxParams:
 
 @lru_cache(maxsize=None)
 def _breakpoints(alpha: int) -> np.ndarray:
-    betas = norm.ppf(np.arange(1, alpha) / alpha)
+    dist = NormalDist()
+    betas = np.array([dist.inv_cdf(j / alpha) for j in range(1, alpha)])
     betas.flags.writeable = False
     return betas
 

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import logging
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -20,7 +21,7 @@ from .dataset import LabeledDataset, resample_split, znormalize_dataset
 from .discretizer import SaxParams, discretize
 from .forest import RandomForest
 from .pattern_index import PatternIndex
-from .sampler_trie import ZeroWeightError, fit_sampler
+from .sampler_trie import fit_sampler
 from .shapelet_transform import FeatureMatrix, create_feature_sets
 
 __all__ = [
@@ -35,16 +36,18 @@ __all__ = [
     "evaluate",
     "run_experiment",
     "build_report",
-    "PHASES",
+    "CELL_PHASES",
 ]
 
 logger = logging.getLogger(__name__)
 
-PHASES = ("discretize", "fit_sampler", "transform", "train")
+# Seconds of these phases are summed over cells, so with several threads
+# they can exceed the grid's wall time.
+CELL_PHASES = ("discretize", "fit_sampler", "transform")
 
 
 class NoPatternsError(RuntimeError):
-    """Raised when no grid cell yields a sampler with positive weight."""
+    """Raised when every grid cell is skipped; the message counts the reasons."""
 
 
 @dataclass(frozen=True)
@@ -111,7 +114,8 @@ class MergedFeatureSet:
     train: FeatureMatrix
     test: FeatureMatrix
     skipped: tuple[SkippedCell, ...]
-    timings: dict[str, float]
+    timings: dict[str, float]  # wall seconds: znormalize, grid
+    cell_seconds: dict[str, float]  # CELL_PHASES summed over cells
 
 
 @dataclass(frozen=True)
@@ -132,22 +136,18 @@ def _run_cell(
     config: PipelineConfig,
     master_seed: int,
 ) -> _CellOutcome:
-    timings = {phase: 0.0 for phase in PHASES}
+    timings = {phase: 0.0 for phase in CELL_PHASES}
     t0 = time.perf_counter()
     dtrain = discretize(ztrain, SaxParams(alpha, omega))
     t1 = time.perf_counter()
     timings["discretize"] = t1 - t0
 
     index = PatternIndex.build(dtrain, config.l_max)
-    try:
-        trie = fit_sampler(dtrain, index, ztrain.labels, config.l_max, config.s_min, config.tau)
-        reason = "no pattern reached s_min" if trie.is_empty else ""
-    except ZeroWeightError as exc:
-        reason = str(exc)
+    trie = fit_sampler(dtrain, index, ztrain.labels, config.l_max, config.s_min, config.tau)
     t2 = time.perf_counter()
     timings["fit_sampler"] = t2 - t1
-    if reason:
-        return _CellOutcome(alpha, omega, None, None, timings, reason)
+    if trie.is_empty:
+        return _CellOutcome(alpha, omega, None, None, timings, "no pattern reached s_min")
 
     # Stream keyed on (seed, alpha, omega): independent of scheduling order.
     rng = np.random.default_rng([master_seed, alpha, omega])
@@ -181,10 +181,10 @@ def fit_transform(
 ) -> MergedFeatureSet:
     """Run every grid cell and concatenate the resulting feature blocks.
 
-    Cells whose window cannot fit the shortest training series, whose
-    sampler accepts no pattern, or whose accepted patterns all have
-    weight q**(1/tau) == 0.0 after float64 underflow, are skipped. Test
-    labels are never read: the transform touches test series values only.
+    Cells whose window cannot fit the shortest training series, or
+    whose sampler accepts no pattern, are skipped; NoPatternsError
+    counts the reasons when every cell is. Test labels are never read:
+    the transform touches test series values only.
     """
     if len(train.classes) < 2:
         raise ValueError("training split must contain at least two classes")
@@ -210,6 +210,7 @@ def fit_transform(
             else:
                 runnable.append((alpha, omega))
 
+    t1 = time.perf_counter()
     outcomes: dict[tuple[int, int], _CellOutcome] = {}
     if n_threads > 1 and len(runnable) > 1:
         with ThreadPoolExecutor(max_workers=n_threads) as pool:
@@ -222,14 +223,14 @@ def fit_transform(
         for alpha, omega in runnable:
             outcomes[(alpha, omega)] = _run_cell(alpha, omega, ztrain, ztest, config, master_seed)
 
-    timings = {phase: 0.0 for phase in PHASES}
-    timings["discretize"] = znorm_seconds
+    timings = {"znormalize": znorm_seconds, "grid": time.perf_counter() - t1}
+    cell_seconds = {phase: 0.0 for phase in CELL_PHASES}
     train_blocks: list[FeatureMatrix] = []
     test_blocks: list[FeatureMatrix] = []
     for cell in runnable:  # already ascending (alpha, omega)
         outcome = outcomes[cell]
-        for phase in PHASES:
-            timings[phase] += outcome.timings[phase]
+        for phase in CELL_PHASES:
+            cell_seconds[phase] += outcome.timings[phase]
         if outcome.train is None:
             logger.warning(
                 "skipping cell alpha=%d omega=%d: %s", outcome.alpha, outcome.omega, outcome.reason
@@ -240,9 +241,13 @@ def fit_transform(
             test_blocks.append(outcome.test)
 
     if not train_blocks:
-        raise NoPatternsError("no discriminative patterns found")
+        reasons = Counter(c.reason for c in skipped)
+        counted = "; ".join(f"{n} cell{'s' * (n != 1)}: {r}" for r, n in sorted(reasons.items()))
+        raise NoPatternsError(f"no discriminative patterns found ({counted})")
     skipped.sort(key=lambda c: (c.alpha, c.omega))
-    return MergedFeatureSet(merge(train_blocks), merge(test_blocks), tuple(skipped), timings)
+    return MergedFeatureSet(
+        merge(train_blocks), merge(test_blocks), tuple(skipped), timings, cell_seconds
+    )
 
 
 def train_classifier(features, labels, seed=0) -> RandomForest:
@@ -263,10 +268,11 @@ def evaluate(model, features, labels) -> float:
 @dataclass(frozen=True)
 class ExperimentResult:
     accuracies: tuple[float, ...]
-    timings: dict[str, float]
+    timings: dict[str, float]  # wall seconds: znormalize, grid, train
     skipped: tuple[SkippedCell, ...]
     n_columns: tuple[int, ...]
     total_seconds: float
+    cell_seconds: dict[str, float] = field(default_factory=dict)  # CELL_PHASES summed over cells
 
     @property
     def mean_accuracy(self) -> float:
@@ -296,7 +302,8 @@ def run_experiment(
     if n_resamples < 1:
         raise ValueError(f"n_resamples must be >= 1, got {n_resamples}")
     t_start = time.perf_counter()
-    timings = {phase: 0.0 for phase in PHASES}
+    timings = {"znormalize": 0.0, "grid": 0.0, "train": 0.0}
+    cell_seconds = {phase: 0.0 for phase in CELL_PHASES}
     accuracies: list[float] = []
     widths: list[int] = []
     skipped_union: dict[tuple[int, int], SkippedCell] = {}
@@ -312,8 +319,10 @@ def run_experiment(
         accuracy = evaluate(model, merged.test, split.test.labels)
         timings["train"] += time.perf_counter() - t_fit
 
-        for phase in ("discretize", "fit_sampler", "transform"):
-            timings[phase] += merged.timings[phase]
+        for phase, seconds in merged.timings.items():
+            timings[phase] += seconds
+        for phase, seconds in merged.cell_seconds.items():
+            cell_seconds[phase] += seconds
         accuracies.append(accuracy)
         widths.append(merged.train.n_columns)
         for cell in merged.skipped:
@@ -322,8 +331,9 @@ def run_experiment(
             on_resample(i, split, merged)
 
     skipped = tuple(skipped_union[key] for key in sorted(skipped_union))
+    total = time.perf_counter() - t_start
     return ExperimentResult(
-        tuple(accuracies), timings, skipped, tuple(widths), time.perf_counter() - t_start
+        tuple(accuracies), timings, skipped, tuple(widths), total, cell_seconds
     )
 
 

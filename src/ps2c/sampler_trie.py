@@ -1,12 +1,17 @@
-"""Weighted-trie pattern sampler.
+"""Pattern sampler: a flat log-weight store drawn by Gumbel-top-k.
 
-Accepted patterns are inserted into a trie whose edge weights aggregate
-the temperature-scaled qualities of every pattern routed through them.
-Sampling walks the trie root-down by roulette-wheel selection; the
-decision to stop at an internal terminal node competes as a pseudo-edge
-weighted by that pattern's own scaled quality, which makes each stored
-pattern's selection probability proportional to its weight mass and
-keeps the path probabilities summing to one.
+Accepted patterns are parallel arrays (length, pattern-table row,
+quality q, log-weight log(q)/tau), and text is decoded only for drawn
+patterns. Pattern i is drawn with probability w_i / sum(w), where
+w = q**(1/tau). Adding Gumbel noise to every log-weight and keeping the
+k largest keys draws k distinct patterns with exactly the law of
+drawing one at a time and redrawing duplicates; log-weights never
+underflow, unlike w in float64.
+
+The paper's weighted trie is a read-only view built on first access.
+Its edges aggregate the linear weights of the patterns below them, and
+stopping at an internal terminal competes as a pseudo-edge, so its
+descent probabilities telescope to the same w / sum(w).
 """
 
 from __future__ import annotations
@@ -16,147 +21,135 @@ import numpy as np
 from .pattern_index import PatternIndex
 from .quality import chi2_normalized_many, scale
 
-__all__ = ["TrieNode", "SamplerTrie", "ZeroWeightError", "fit_sampler"]
-
-
-class ZeroWeightError(ArithmeticError):
-    """Raised when every accepted pattern's scaled weight underflows to 0.0."""
+__all__ = ["SamplerTrie", "fit_sampler"]
 
 
 class TrieNode:
-    """One trie node: symbol-keyed weighted edges plus a terminal marker.
+    """A trie-view node; a terminal's weight may be 0.0 after float64 underflow."""
 
-    ``is_terminal`` records that a stored pattern ends here. Membership
-    rests on it, not on ``terminal_weight``: a float64 weight q**(1/tau)
-    underflows to 0.0 for small q or tau, yet the pattern is stored.
-    """
-
-    __slots__ = ("children", "is_terminal", "terminal_weight", "node_weight", "_wheel")
+    __slots__ = ("children", "is_terminal", "terminal_weight", "node_weight")
 
     def __init__(self):
         self.children: dict[str, list] = {}  # symbol -> [edge weight, child]
         self.is_terminal = False
         self.terminal_weight = 0.0
         self.node_weight = 0.0
-        self._wheel = None
-
-    def wheel(self):
-        # sorted edges, their cumulative weights and the index of the last
-        # edge with positive weight (None if there is none), built lazily;
-        # lexical symbol order keeps selection deterministic
-        if self._wheel is None:
-            symbols = sorted(self.children)
-            children = [self.children[s][1] for s in symbols]
-            weights = [self.children[s][0] for s in symbols]
-            last = max((i for i, w in enumerate(weights) if w > 0.0), default=None)
-            self._wheel = (symbols, children, np.cumsum(weights), last)
-        return self._wheel
 
 
 class SamplerTrie:
-    """The fitted pattern sampler for one (alpha, omega) cell."""
+    """The fitted pattern sampler for one (alpha, omega) cell.
 
-    def __init__(self, tau: float, s_min: float):
+    Pattern i has quality ``q[i]`` and text ``text_of(lengths[i], rows[i])``.
+    """
+
+    def __init__(self, tau: float, s_min: float, lengths, rows, q, text_of):
         if tau <= 0:
             raise ValueError(f"tau must be positive, got {tau}")
-        self.root = TrieNode()
         self.tau = tau
         self.s_min = s_min
-        self.pattern_count = 0
+        self.lengths = np.asarray(lengths, dtype=np.int64)
+        self.rows = np.asarray(rows, dtype=np.int64)
+        self.q = np.asarray(q, dtype=np.float64)
+        self.log_w = np.log(self.q) / tau
+        self._text_of = text_of
+        self._view = None
+
+    @classmethod
+    def from_patterns(cls, patterns, tau: float, s_min: float) -> "SamplerTrie":
+        """Sampler over hand-given patterns: a mapping or (pattern, q) pairs.
+
+        Each pattern needs length >= 2 and a quality q > 0 with
+        q >= s_min, and may appear only once.
+        """
+        items = list(patterns.items() if hasattr(patterns, "items") else patterns)
+        seen: set[str] = set()
+        for pattern, q in items:
+            if len(pattern) < 2:
+                raise ValueError(f"patterns must have length >= 2, got {pattern!r}")
+            if q <= 0.0 or q < s_min:
+                raise ValueError(
+                    f"quality {q} below acceptance threshold (s_min={s_min}, must also be > 0)"
+                )
+            if pattern in seen:
+                raise ValueError(f"pattern {pattern!r} given twice")
+            seen.add(pattern)
+        # as in a pattern table, rows rank patterns lexically within a length
+        items.sort(key=lambda item: (len(item[0]), item[0]))
+        lengths = [len(p) for p, _ in items]
+        rows = [i - lengths.index(n) for i, n in enumerate(lengths)]
+        texts = {(n, row): p for n, row, (p, _) in zip(lengths, rows, items)}
+        return cls(tau, s_min, lengths, rows, [q for _, q in items], lambda n, row: texts[n, row])
+
+    @property
+    def pattern_count(self) -> int:
+        return int(self.q.size)
 
     @property
     def is_empty(self) -> bool:
         return self.pattern_count == 0
 
-    def insert(self, pattern: str, normalized_q: float) -> None:
-        """Add a pattern, aggregating its scaled weight along the path.
+    def text(self, i: int) -> str:
+        return self._text_of(int(self.lengths[i]), int(self.rows[i]))
 
-        Every edge on the path gains w = q**(1/tau); missing edges are
-        created with weight w, and the final node's terminal weight is
-        set to w. Patterns are enumerated deduplicated upstream, so a
-        second insert of the same pattern is a programming error.
-        """
-        if len(pattern) < 2:
-            raise ValueError(f"patterns must have length >= 2, got {pattern!r}")
-        if normalized_q <= 0.0 or normalized_q < self.s_min:
-            raise ValueError(
-                f"quality {normalized_q} below acceptance threshold "
-                f"(s_min={self.s_min}, must also be > 0)"
-            )
-        w = scale(normalized_q, self.tau)
-        node = self.root
-        for symbol in pattern:
-            edge = node.children.get(symbol)
-            if edge is None:
-                edge = [w, TrieNode()]
-                node.children[symbol] = edge
-            else:
-                edge[0] += w
-            node.node_weight += w
-            node._wheel = None
-            node = edge[1]
-        if node.is_terminal:
-            raise ValueError(f"pattern {pattern!r} inserted twice")
-        node.is_terminal = True
-        node.terminal_weight = w
-        node.node_weight += w
-        node._wheel = None
-        self.pattern_count += 1
+    def sample_distinct(self, k: int, rng: np.random.Generator) -> list[str]:
+        """Draw min(k, pattern_count) distinct patterns by Gumbel-top-k.
 
-    def sample(self, rng: np.random.Generator) -> str:
-        """Draw one pattern by fitness-proportionate trie descent.
-
-        Only edges and terminals with positive weight can be drawn, so a
-        pattern whose weight underflowed to 0.0 is never returned.
+        One Gumbel variate per stored pattern is drawn from ``rng``. The
+        patterns come back in descending order of perturbed log-weight;
+        that sequence has the law of drawing one pattern at a time and
+        redrawing duplicates.
         """
         if self.is_empty:
-            raise ValueError("cannot sample from an empty trie")
-        if self.root.node_weight == 0.0:
-            raise ValueError("cannot sample: every stored weight is 0.0")
-        node = self.root
-        out: list[str] = []
-        while node.children:
-            r = rng.random() * node.node_weight
-            if r < node.terminal_weight:
-                break
-            r -= node.terminal_weight
-            symbols, children, cum, last = node.wheel()
-            i = int(np.searchsorted(cum, r, side="right"))
-            if i >= len(symbols):
-                # Float round-off carried r past the wheel's end: take the
-                # last edge with weight, or stop if only the terminal has any.
-                if last is None:
-                    break
-                i = last
-            out.append(symbols[i])
-            node = children[i]
-        return "".join(out)
+            raise ValueError("cannot sample from an empty sampler")
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
+        keys = self.log_w + rng.gumbel(size=self.pattern_count)
+        k = min(k, self.pattern_count)
+        top = np.argpartition(-keys, k - 1)[:k]
+        top = top[np.argsort(-keys[top], kind="stable")]
+        return [self.text(i) for i in top]
+
+    def sample(self, rng: np.random.Generator) -> str:
+        """Draw one pattern with probability proportional to q**(1/tau)."""
+        return self.sample_distinct(1, rng)[0]
+
+    # -- the trie view -----------------------------------------------------
+
+    def _trie(self):
+        if self._view is None:
+            root = TrieNode()
+            position = {}
+            for i in range(self.pattern_count):
+                pattern = self.text(i)
+                position[pattern] = i
+                w = scale(float(self.q[i]), self.tau)
+                node = root
+                for symbol in pattern:
+                    node.node_weight += w
+                    edge = node.children.setdefault(symbol, [0.0, TrieNode()])
+                    edge[0] += w
+                    node = edge[1]
+                node.is_terminal = True
+                node.terminal_weight = w
+                node.node_weight += w
+            self._view = (root, position)
+        return self._view
+
+    @property
+    def root(self) -> TrieNode:
+        return self._trie()[0]
 
     def path_probability(self, pattern: str) -> float:
-        """Probability that :meth:`sample` returns ``pattern``.
-
-        A path through an edge whose weight underflowed to 0.0 has
-        probability 0.0.
-        """
-        node = self.root
-        prob = 1.0
-        for symbol in pattern:
-            edge = node.children.get(symbol)
-            if edge is None:
-                raise KeyError(f"pattern {pattern!r} is not in the trie")
-            if edge[0] == 0.0:
-                prob = 0.0  # every edge below a zero-weight edge is zero too
-            else:
-                prob *= edge[0] / node.node_weight
-            node = edge[1]
-        if not node.is_terminal:
+        """Probability that :meth:`sample` returns ``pattern``."""
+        i = self._trie()[1].get(pattern)
+        if i is None:
             raise KeyError(f"pattern {pattern!r} is not in the trie")
-        if prob == 0.0:
-            return 0.0
-        return prob * (node.terminal_weight / node.node_weight)
+        top = self.log_w.max()
+        log_total = top + np.log(np.exp(self.log_w - top).sum())
+        return float(np.exp(self.log_w[i] - log_total))
 
     def iter_patterns(self):
-        """Yield (pattern, terminal weight) pairs in lexicographic order."""
+        """Yield (pattern, scaled weight q**(1/tau)) pairs in lexicographic order."""
 
         def walk(node: TrieNode, prefix: str):
             if node.is_terminal:
@@ -192,16 +185,12 @@ def fit_sampler(
     s_min: float,
     tau: float,
 ) -> SamplerTrie:
-    """Score every distinct pattern and insert the accepted ones.
+    """Score every distinct pattern and store the accepted ones.
 
     For each length 2..l_max, every distinct pattern is scored by
     normalised chi-square; patterns reaching s_min (and strictly above
-    0) are inserted, the rest discarded. The returned trie may be empty,
+    0) are kept, the rest discarded. The returned sampler may be empty,
     in which case the caller skips this (alpha, omega) cell.
-
-    Raises ZeroWeightError instead of returning a trie that holds
-    patterns but cannot be sampled, because every weight q**(1/tau)
-    underflowed to 0.0; the caller skips that cell as well.
     """
     if index.l_max != l_max:
         raise ValueError(
@@ -215,19 +204,12 @@ def fit_sampler(
     class_of = np.array([class_ids[c] for c in labels], dtype=np.int64)
     class_sizes = np.bincount(class_of, minlength=len(classes))
 
-    trie = SamplerTrie(tau=tau, s_min=s_min)
-    best_q = 0.0
+    lengths, rows, qs = [np.empty(0, np.int64)], [np.empty(0, np.int64)], [np.empty(0)]
     for length in index.lengths():
         counts = index.presence_counts(length, class_of, len(classes))
         q = chi2_normalized_many(counts, class_sizes)
         accepted = np.nonzero((q >= s_min) & (q > 0.0))[0]
-        for row in accepted:
-            trie.insert(index.row_text(length, int(row)), float(q[row]))
-        if accepted.size:
-            best_q = max(best_q, float(q[accepted].max()))
-    if not trie.is_empty and trie.root.node_weight == 0.0:
-        raise ZeroWeightError(
-            f"all {trie.pattern_count} accepted patterns have weight 0: "
-            f"q**(1/tau) underflows at tau={tau:g} (best q={best_q:.6g})"
-        )
-    return trie
+        lengths.append(np.full(accepted.size, length, dtype=np.int64))
+        rows.append(accepted)
+        qs.append(q[accepted])
+    return SamplerTrie(tau, s_min, *map(np.concatenate, (lengths, rows, qs)), index.row_text)

@@ -1,8 +1,10 @@
 """Reverse lookup of sampled patterns and min-distance feature matrices.
 
-A sampled symbolic pattern is grounded in its earliest occurrence in
-the training data, yielding a real-valued shapelet; each instance is
-then described by its minimal sliding distance to every shapelet. The
+The sampler draws k distinct patterns per cell by Gumbel-top-k over
+its flat log-weight store, and only those k are decoded to text. Each
+sampled symbolic pattern is grounded in its earliest occurrence in the
+training data, yielding a real-valued shapelet; each instance is then
+described by its minimal sliding distance to every shapelet. The
 distance is the squared Euclidean distance of the best alignment
 divided by the shapelet length, so features stay comparable across
 resolutions with different shapelet lengths.
@@ -15,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.signal import fftconvolve
 
 from .dataset import LabeledDataset
 from .discretizer import DiscretizedDataset
@@ -25,9 +26,6 @@ from .sampler_trie import SamplerTrie
 __all__ = ["Shapelet", "FeatureMatrix", "reverse_lookup", "min_distance", "create_feature_sets"]
 
 logger = logging.getLogger(__name__)
-
-# Retry budget multiplier when sampling K distinct patterns.
-RETRY_FACTOR = 10
 
 
 @dataclass(frozen=True)
@@ -145,9 +143,14 @@ def _distance_matrix(series_list, shapelets) -> np.ndarray:
         stacked = np.stack(series_list)
         # Prefix sums of squares give every window's energy in O(1);
         # together with FFT sliding dot products the alignment search
-        # costs O(N n log n) per shapelet instead of O(N n s).
+        # costs O(N n log n) per shapelet instead of O(N n s). With a
+        # transform length L >= n the circular correlation never wraps
+        # on the valid offsets 0..n-s, so one rfft of the series serves
+        # every shapelet.
         csum = np.zeros((stacked.shape[0], n + 1))
         np.cumsum(stacked * stacked, axis=1, out=csum[:, 1:])
+        fft_len = 1 << (n - 1).bit_length()
+        spectra = np.fft.rfft(stacked, fft_len, axis=1)
         for j, shapelet in enumerate(shapelets):
             values = shapelet.values
             s = values.size
@@ -160,7 +163,8 @@ def _distance_matrix(series_list, shapelets) -> np.ndarray:
                 delta = stacked - values[:n]
                 out[:, j] = (delta * delta).mean(axis=1)
             else:
-                dots = fftconvolve(stacked, values[::-1][None, :], mode="valid", axes=1)
+                kernel = np.conj(np.fft.rfft(values, fft_len))
+                dots = np.fft.irfft(spectra * kernel, fft_len, axis=1)[:, : n - s + 1]
                 win_sq = csum[:, s:] - csum[:, :-s]
                 scores = win_sq - 2.0 * dots + float(values @ values)
                 # FFT round-off can perturb near-ties, so the winning
@@ -188,24 +192,12 @@ def create_feature_sets(
 ) -> tuple[FeatureMatrix, FeatureMatrix]:
     """Sample patterns and build train/test min-distance matrices.
 
-    Draws until ``k`` distinct patterns are collected or 10*k draws are
-    exhausted (duplicate draws carry no information, so fewer than k
-    columns are allowed). Column order is sampling order. Test labels
-    are never read here: the transform sees only series values.
+    Draws min(k, pattern count) distinct patterns with one Gumbel-top-k
+    pass on ``rng``. Column order is descending Gumbel key, which is the
+    order of drawing without replacement. Test labels are never read
+    here: the transform sees only series values.
     """
-    if trie.is_empty:
-        raise ValueError("cannot create features from an empty sampler")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    chosen: list[str] = []
-    seen: set[str] = set()
-    draws = 0
-    while len(chosen) < k and draws < RETRY_FACTOR * k:
-        pattern = trie.sample(rng)
-        draws += 1
-        if pattern not in seen:
-            seen.add(pattern)
-            chosen.append(pattern)
+    chosen = trie.sample_distinct(k, rng)
     shapelets = [
         reverse_lookup(p, real_train, discretized_train, index) for p in chosen
     ]

@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -93,6 +95,50 @@ def test_run_no_patterns_exit_2(capsys, tmp_path):
     )
     assert code == 2
     assert "no discriminative patterns" in stderr
+    assert "2 cells: no pattern reached s_min" in stderr
+
+
+def test_run_timings_separate_wall_and_cell_seconds(data_paths, capsys, tmp_path):
+    train, test = data_paths
+    out = tmp_path / "t2"
+    code, _, _ = _run(
+        capsys,
+        ["run", train, test, "--alphas", "2,3,4", "--omegas", "2,3", "--resamples", "2",
+         "--threads", "2", "--out", str(out)],
+    )
+    assert code == 0
+    timings = json.loads((out / "timings.json").read_text())
+    cell_seconds = timings.pop("cell_seconds")
+    total = timings.pop("total_seconds")
+    assert set(timings) == {"znormalize", "grid", "train"}
+    assert sum(timings.values()) <= total
+    assert set(cell_seconds) == {"discretize", "fit_sampler", "transform"}
+
+
+def test_run_threads_1_and_2_byte_identical(data_paths, capsys, tmp_path):
+    train, test = data_paths
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"t{threads}"
+        code, _, _ = _run(
+            capsys,
+            ["run", train, test, "--resamples", "2", "--threads", threads,
+             "--out", str(out), "--emit-features"],
+        )
+        assert code == 0
+        outputs.append({p.name: p.read_bytes() for p in out.iterdir() if p.name != "timings.json"})
+    assert len(outputs[0]) == 5
+    assert outputs[0] == outputs[1]
+
+
+def test_import_cli_loads_no_scipy():
+    code = (
+        "import sys, ps2c.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_unknown_flag_is_error(data_paths, capsys):
@@ -158,21 +204,23 @@ def test_trie_dump_impossible_threshold_exit_2(capsys, data_paths):
     assert code == 2
 
 
-def test_trie_dump_all_weights_underflow_exit_2(capsys, tmp_path):
+def test_trie_dump_all_weights_underflow_prints_trie(capsys, tmp_path):
     # weak motifs under unit noise: the best quality stays below 0.2256,
-    # whose weight q**(1/0.002) already underflows to 0.0
+    # whose weight q**(1/0.002) already underflows to 0.0; the cell is
+    # still sampled from its log-weights and dumps like any other
     noisy = generate(SynthSpec(n_per_class=20, length=64, noise_sigma=1.0,
                                amplitude=0.5, seed=0))
     path = tmp_path / "noisy.csv"
     save_ucr(noisy, path)
-    code, stdout, stderr = _run(
+    code, stdout, _ = _run(
         capsys,
         ["trie-dump", str(path), "--alpha", "2", "--omega", "2", "--smin", "0",
          "--tau", "0.002"],
     )
-    assert code == 2
-    assert stdout == ""
-    assert "tau=0.002" in stderr
+    assert code == 0
+    head = stdout.splitlines()[0]
+    assert "tau=0.002" in head and "root_weight=0" in head
+    assert "*0" in stdout
 
 
 def test_bench_two_sizes(capsys):

@@ -41,6 +41,36 @@ def test_load_tab_delimited(tmp_path):
     assert np.array_equal(ds.series[1], [3.0, 4.0, 5.0])
 
 
+def test_load_classic_space_separated_txt(tmp_path):
+    # the classic UCR archive layout: space-padded scientific notation
+    text = (
+        "   1.0000000e+00  -1.2500000e-01   3.5000000e-01   2.0000000e+00\n"
+        "   2.0000000e+00   4.0000000e-01  -7.5000000e-01   1.0000000e-03\n"
+    )
+    ds = load_ucr(_write(tmp_path, text, "Demo_TRAIN.txt"))
+    assert ds.labels == ("1.0000000e+00", "2.0000000e+00")
+    assert np.array_equal(ds.series[0], [-0.125, 0.35, 2.0])
+    assert np.array_equal(ds.series[1], [0.4, -0.75, 0.001])
+
+
+def test_load_ucr2018_trailing_nan_padding(tmp_path):
+    # UCR-2018 .tsv files pad shorter series with trailing NaN
+    text = "1\t0.5\t1.5\t2.5\t3.5\n2\t4\t5\tNaN\tNaN\n1\t6\t7\t8\tnan\n"
+    ds = load_ucr(_write(tmp_path, text, "Demo_TRAIN.tsv"))
+    assert ds.lengths == (4, 2, 3)
+    assert np.array_equal(ds.series[1], [4.0, 5.0])
+    assert np.array_equal(ds.series[2], [6.0, 7.0, 8.0])
+
+
+def test_load_rejects_interior_nan_with_line_number(tmp_path):
+    path = _write(tmp_path, "1,0,1,2\n2,3,NaN,5,NaN\n", "mid.csv")
+    with pytest.raises(UcrFormatError, match=r"mid\.csv:2: non-finite value NaN"):
+        load_ucr(path)
+    path = _write(tmp_path, "1,0,1,2\n2,3,NaN,NaN\n", "short.csv")
+    with pytest.raises(UcrFormatError, match=r"short\.csv:2: .*at least two values, got 1"):
+        load_ucr(path)
+
+
 def test_load_ragged_lengths_allowed(tmp_path):
     path = _write(tmp_path, "1,0,1,2,3\n2,4,5\n")
     ds = load_ucr(path)

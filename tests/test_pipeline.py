@@ -134,6 +134,19 @@ def test_no_patterns_error():
         fit_transform(train, train, PipelineConfig(alphas=(2, 3), omegas=(2,)))
 
 
+def test_no_patterns_error_counts_skip_reasons():
+    base = np.sin(np.linspace(0, 6, 32))
+    train = LabeledDataset((base, base.copy(), base.copy(), base.copy()),
+                           ("1", "1", "2", "2"))
+    cfg = PipelineConfig(alphas=(2, 3, 4), omegas=(2, 40))
+    with pytest.raises(NoPatternsError) as exc:
+        fit_transform(train, train, cfg)
+    assert str(exc.value) == (
+        "no discriminative patterns found (3 cells: no pattern reached s_min; "
+        "3 cells: omega 40 >= shortest training series length 32)"
+    )
+
+
 def _noisy(amplitude):
     # weak motifs under unit noise: no pattern splits the classes well, so
     # the best normalised chi-square of every cell stays far below 1
@@ -141,10 +154,10 @@ def _noisy(amplitude):
     return generate(SynthSpec(seed=0, **spec)), generate(SynthSpec(seed=1, **spec))
 
 
-def test_zero_weight_cells_are_skipped_not_sampled():
-    # At tau=0.002 the weight q**(1/tau) underflows to 0.0 for q below about
-    # 0.2256, so a cell whose accepted patterns all score lower has no
-    # pattern to sample and must be skipped with its reason.
+def test_underflowing_cells_yield_features():
+    # At tau=0.002 the linear weight q**(1/tau) underflows to 0.0 for q
+    # below about 0.2256. Sampling works on log-weights, so such cells are
+    # sampled like any other instead of being skipped.
     train, test = _noisy(amplitude=1.0)
     cfg = PipelineConfig(alphas=(2, 3, 4), omegas=(2, 4), s_min=0.0, tau=0.002)
     merged = fit_transform(train, test, cfg)
@@ -163,21 +176,20 @@ def test_zero_weight_cells_are_skipped_not_sampled():
     }
     assert 0 < len(zero_cells) < len(qualities)
 
-    skipped = {(c.alpha, c.omega): c.reason for c in merged.skipped}
-    assert set(skipped) == zero_cells
-    for cell, reason in skipped.items():
-        best_q = max(qualities[cell].values())
-        assert "tau=0.002" in reason and f"best q={best_q:.6g}" in reason
+    assert merged.skipped == ()
+    assert merged.train.n_columns == cfg.k * len(qualities)
+    sampled = {(s.alpha, s.omega) for s in merged.train.shapelets}
+    assert sampled == set(qualities)
     for shapelet in merged.train.shapelets:
-        q = qualities[(shapelet.alpha, shapelet.omega)][shapelet.pattern]
-        assert scale(q, cfg.tau) > 0.0
+        assert qualities[(shapelet.alpha, shapelet.omega)][shapelet.pattern] > 0.0
 
 
-def test_all_zero_weight_cells_raise_no_patterns():
+def test_all_underflowing_cells_yield_features():
     train, test = _noisy(amplitude=0.5)
     cfg = PipelineConfig(alphas=(2, 3), omegas=(2, 4), s_min=0.0, tau=0.002)
-    with pytest.raises(NoPatternsError):
-        fit_transform(train, test, cfg)
+    merged = fit_transform(train, test, cfg)
+    assert merged.skipped == ()
+    assert merged.train.n_columns == cfg.k * 4
 
 
 def test_fit_transform_requires_two_classes():
@@ -265,6 +277,15 @@ def test_timing_breakdown_covers_total():
     attributed = sum(res.timings.values())
     assert attributed <= res.total_seconds * 1.001
     assert attributed >= 0.95 * res.total_seconds
+
+
+def test_wall_timings_fit_in_total_with_two_threads():
+    train, test = _planted(20, 64)
+    res = run_experiment(train, test, PipelineConfig(), n_resamples=2, n_threads=2)
+    assert set(res.timings) == {"znormalize", "grid", "train"}
+    assert sum(res.timings.values()) <= res.total_seconds
+    assert set(res.cell_seconds) == {"discretize", "fit_sampler", "transform"}
+    assert all(seconds > 0 for seconds in res.cell_seconds.values())
 
 
 def test_build_report_is_json_stable():

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from ps2c.discretizer import DiscretizedDataset, SaxParams
 from ps2c.pattern_index import PatternIndex
 from ps2c.quality import pattern_quality, scale
-from ps2c.sampler_trie import SamplerTrie, ZeroWeightError, fit_sampler
+from ps2c.sampler_trie import SamplerTrie, fit_sampler
 
 LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
@@ -19,10 +19,7 @@ def _dataset(strings, alpha):
 
 
 def _trie(inserts, tau=1.0, s_min=0.0):
-    trie = SamplerTrie(tau=tau, s_min=s_min)
-    for pattern, q in inserts:
-        trie.insert(pattern, q)
-    return trie
+    return SamplerTrie.from_patterns(inserts, tau=tau, s_min=s_min)
 
 
 def _edge_weights(trie):
@@ -81,16 +78,18 @@ def test_insert_applies_temperature():
 
 
 def test_insert_rejects_bad_input():
-    trie = SamplerTrie(tau=1.0, s_min=0.3)
+    def build(patterns):
+        return SamplerTrie.from_patterns(patterns, tau=1.0, s_min=0.3)
+
     with pytest.raises(ValueError):
-        trie.insert("a", 0.5)  # too short
+        build({"a": 0.5})  # too short
     with pytest.raises(ValueError):
-        trie.insert("ab", 0.1)  # below s_min
+        build({"ab": 0.1})  # below s_min
     with pytest.raises(ValueError):
-        trie.insert("ab", 0.0)  # quality range is open at zero
-    trie.insert("ab", 0.5)
+        build({"ab": 0.0})  # quality range is open at zero
+    assert build({"ab": 0.5}).pattern_count == 1
     with pytest.raises(ValueError):
-        trie.insert("ab", 0.5)  # duplicate
+        build([("ab", 0.5), ("ab", 0.5)])  # duplicate
 
 
 @given(
@@ -182,7 +181,7 @@ def test_temperature_sharpening_ratio():
 
 
 def test_empty_trie_behavior():
-    trie = SamplerTrie(tau=0.5, s_min=0.05)
+    trie = SamplerTrie.from_patterns({}, tau=0.5, s_min=0.05)
     assert trie.is_empty
     with pytest.raises(ValueError):
         trie.sample(np.random.default_rng(0))
@@ -200,9 +199,9 @@ def test_path_probability_unknown_pattern():
 
 # At tau=0.01 the weight of q=1e-4 is 1e-400, which float64 rounds to 0.0.
 UNDERFLOW_TAU, UNDERFLOW_Q = 0.01, 1e-4
-# ... while q=5.85e-4 scales to 5e-324, the smallest subnormal double: a
-# draw rng.random() * 5e-324 rounds to 0 or to 5e-324, so about every
-# second draw lands exactly on the end of the roulette wheel.
+# ... while q=5.85e-4 scales to 5e-324, the smallest subnormal double, so
+# a linear-weight roulette wheel has no resolution left between such
+# patterns; the log-weights keep their full precision.
 SUBNORMAL_Q = 5.85e-4
 
 
@@ -214,23 +213,74 @@ def test_underflowed_pattern_is_listed():
 
 
 def test_underflowed_pattern_rejects_second_insert():
-    trie = _trie([("ab", UNDERFLOW_Q)], tau=UNDERFLOW_TAU)
     with pytest.raises(ValueError, match="twice"):
-        trie.insert("ab", UNDERFLOW_Q)
+        _trie([("ab", UNDERFLOW_Q), ("ab", UNDERFLOW_Q)], tau=UNDERFLOW_TAU)
 
 
 def test_zero_weight_edge_has_zero_path_probability():
+    # the true probability of "cd" is 1e-400 / (1 + 1e-400), below float64
     trie = _trie([("ab", 1.0), ("cd", UNDERFLOW_Q)], tau=UNDERFLOW_TAU)
     assert trie.path_probability("ab") == 1.0
     assert trie.path_probability("cd") == 0.0
+
+
+def test_lone_underflowed_pattern_is_drawn_with_probability_one():
     lone = _trie([("ab", UNDERFLOW_Q)], tau=UNDERFLOW_TAU)
-    assert lone.path_probability("ab") == 0.0
+    assert list(lone.iter_patterns()) == [("ab", 0.0)]
+    assert lone.path_probability("ab") == 1.0
+    rng = np.random.default_rng(0)
+    assert {lone.sample(rng) for _ in range(50)} == {"ab"}
+    assert lone.sample_distinct(4, rng) == ["ab"]
 
 
-def test_sample_refuses_all_zero_trie():
-    trie = _trie([("ab", UNDERFLOW_Q), ("cd", UNDERFLOW_Q)], tau=UNDERFLOW_TAU)
-    with pytest.raises(ValueError, match="weight"):
-        trie.sample(np.random.default_rng(0))
+@pytest.mark.parametrize("q", [UNDERFLOW_Q, SUBNORMAL_Q])
+def test_underflowed_equal_weights_are_drawn_evenly(q):
+    # A linear-weight wheel drew two patterns of weight 5e-324 at 4,940
+    # to 15,060 here, and refused two of weight 0.0 outright.
+    trie = _trie([("ab", q), ("cd", q)], tau=UNDERFLOW_TAU)
+    assert trie.path_probability("ab") == pytest.approx(0.5, abs=1e-12)
+    rng = np.random.default_rng(0)
+    n = 20_000
+    hits = sum(trie.sample(rng) == "ab" for _ in range(n))
+    assert abs(hits / n - 0.5) <= 0.02
+
+
+@given(
+    st.dictionaries(
+        st.text(alphabet="abc", min_size=2, max_size=5),
+        st.floats(1e-6, 1.0),
+        min_size=1,
+        max_size=12,
+    ),
+    st.integers(1, 15),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=100, deadline=None)
+def test_sample_distinct_returns_min_k_count_distinct(patterns, k, seed):
+    trie = _trie(sorted(patterns.items()), tau=0.3)
+    drawn = trie.sample_distinct(k, np.random.default_rng(seed))
+    assert len(drawn) == min(k, len(patterns))
+    assert len(set(drawn)) == len(drawn)
+    assert set(drawn) <= set(patterns)
+
+
+def test_sample_distinct_first_draw_follows_path_probabilities():
+    # the first of k Gumbel-top-k draws is a single draw from the sampler
+    trie = _trie([("ab", 0.4), ("abc", 0.3), ("ba", 0.9), ("bc", 0.2)], tau=0.7)
+    rng = np.random.default_rng(5)
+    n = 20_000
+    counts = {}
+    for _ in range(n):
+        first = trie.sample_distinct(3, rng)[0]
+        counts[first] = counts.get(first, 0) + 1
+    for pattern, count in counts.items():
+        assert count / n == pytest.approx(trie.path_probability(pattern), abs=0.015)
+
+
+def test_sample_distinct_rejects_bad_k():
+    trie = _trie([("ab", 0.4)])
+    with pytest.raises(ValueError):
+        trie.sample_distinct(0, np.random.default_rng(0))
 
 
 @pytest.mark.parametrize(
@@ -239,6 +289,8 @@ def test_sample_refuses_all_zero_trie():
      "abc"],  # "ab" has no edge with weight, only its terminal
 )
 def test_wheel_end_falls_back_to_positive_weight(zero_weight_pattern):
+    # The subnormal weight's log-weight exceeds the underflowed one's by
+    # about 177, so the latter is drawn with probability near e**-177.
     assert scale(SUBNORMAL_Q, UNDERFLOW_TAU) == np.nextafter(0.0, 1.0)
     trie = _trie(
         [("ab", SUBNORMAL_Q), (zero_weight_pattern, UNDERFLOW_Q)], tau=UNDERFLOW_TAU
@@ -247,16 +299,19 @@ def test_wheel_end_falls_back_to_positive_weight(zero_weight_pattern):
     assert {trie.sample(rng) for _ in range(200)} == {"ab"}
 
 
-def test_fit_sampler_refuses_all_zero_weights():
+def test_fit_sampler_samples_when_every_weight_underflows():
     # best q is 1/3, and (1/3)**1000 underflows to 0.0
     strings = ["ab", "ab", "ba", "ab"]
     labels = ["1", "1", "2", "2"]
     ds = _dataset(strings, 2)
     index = PatternIndex.build(ds, 2)
-    qualities = [w for _, w in fit_sampler(ds, index, labels, 2, 0.0, 1.0).iter_patterns()]
-    assert max(qualities) == pytest.approx(1 / 3, abs=1e-12)
-    with pytest.raises(ZeroWeightError, match=r"tau=0\.001 \(best q=0\.333333\)"):
-        fit_sampler(ds, index, labels, 2, 0.0, 0.001)
+    qualities = dict(fit_sampler(ds, index, labels, 2, 0.0, 1.0).iter_patterns())
+    assert max(qualities.values()) == pytest.approx(1 / 3, abs=1e-12)
+    trie = fit_sampler(ds, index, labels, 2, 0.0, 0.001)
+    assert dict(trie.iter_patterns()) == dict.fromkeys(qualities, 0.0)
+    total = sum(trie.path_probability(p) for p in qualities)
+    assert total == pytest.approx(1.0, abs=1e-9)
+    assert sorted(trie.sample_distinct(5, np.random.default_rng(0))) == sorted(qualities)
 
 
 def test_fit_sampler_single_perfect_pattern():

@@ -181,11 +181,9 @@ def test_create_feature_sets_deterministic():
 
 def test_create_feature_sets_k_exceeds_trie_patterns():
     train, test, d, index, _ = _fixture_cell()
-    trie = SamplerTrie(tau=1.0, s_min=0.0)
-    trie.insert("ab", 0.5)
-    trie.insert("ba", 0.5)
+    trie = SamplerTrie.from_patterns({"ab": 0.5, "ba": 0.5}, tau=1.0, s_min=0.0)
     ftr, fte = create_feature_sets(train, test, d, index, trie, 4, np.random.default_rng(0))
-    assert ftr.n_columns == 2  # retry budget exhausted, duplicates dropped
+    assert ftr.n_columns == 2  # min(k, pattern count) distinct draws
     assert fte.n_columns == 2
 
 
@@ -200,7 +198,7 @@ def test_create_feature_sets_rejects_empty_trie():
     train, test, d, index, _ = _fixture_cell()
     with pytest.raises(ValueError):
         create_feature_sets(
-            train, test, d, index, SamplerTrie(tau=1.0, s_min=0.0), 4,
+            train, test, d, index, SamplerTrie.from_patterns({}, tau=1.0, s_min=0.0), 4,
             np.random.default_rng(0),
         )
 
