@@ -68,10 +68,6 @@ def _resolve_threads(value) -> int:
     return os.cpu_count() or 1
 
 
-def _load(path: str):
-    return load_ucr(path)
-
-
 def _config_from(args) -> PipelineConfig:
     return PipelineConfig(
         alphas=tuple(args.alphas),
@@ -100,8 +96,8 @@ def cmd_run(args) -> int:
     try:
         threads = _resolve_threads(args.threads)
         config = _config_from(args)
-        train = _load(args.train)
-        test = _load(args.test)
+        train = load_ucr(args.train)
+        test = load_ucr(args.test)
     except (OSError, UcrFormatError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
@@ -151,7 +147,7 @@ def cmd_run(args) -> int:
 def cmd_discretize(args) -> int:
     try:
         params = SaxParams(args.alpha, args.omega)
-        dataset = znormalize_dataset(_load(args.train))
+        dataset = znormalize_dataset(load_ucr(args.train))
         discretized = discretize(dataset, params)
     except (OSError, UcrFormatError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -163,7 +159,7 @@ def cmd_discretize(args) -> int:
 def cmd_trie_dump(args) -> int:
     try:
         params = SaxParams(args.alpha, args.omega)
-        dataset = znormalize_dataset(_load(args.train))
+        dataset = znormalize_dataset(load_ucr(args.train))
         discretized = discretize(dataset, params)
         index = PatternIndex.build(discretized, args.lmax)
         trie = fit_sampler(

@@ -182,8 +182,9 @@ def fit_transform(
     """Run every grid cell and concatenate the resulting feature blocks.
 
     Cells whose window cannot fit the shortest training series, or
-    whose sampler accepts no pattern, are skipped; NoPatternsError
-    counts the reasons when every cell is. Test labels are never read:
+    whose sampler accepts no pattern, are skipped and returned with
+    their reasons, unlogged; NoPatternsError counts the reasons when
+    every cell is. Test labels are never read:
     the transform touches test series values only.
     """
     if len(train.classes) < 2:
@@ -205,7 +206,6 @@ def fit_transform(
         for omega in config.omegas:
             if omega >= min_len:
                 reason = f"omega {omega} >= shortest training series length {min_len}"
-                logger.warning("skipping cell alpha=%d omega=%d: %s", alpha, omega, reason)
                 skipped.append(SkippedCell(alpha, omega, reason))
             else:
                 runnable.append((alpha, omega))
@@ -232,9 +232,6 @@ def fit_transform(
         for phase in CELL_PHASES:
             cell_seconds[phase] += outcome.timings[phase]
         if outcome.train is None:
-            logger.warning(
-                "skipping cell alpha=%d omega=%d: %s", outcome.alpha, outcome.omega, outcome.reason
-            )
             skipped.append(SkippedCell(outcome.alpha, outcome.omega, outcome.reason))
         else:
             train_blocks.append(outcome.train)
@@ -297,7 +294,8 @@ def run_experiment(
     Resample 0 keeps the original split; resample i >= 1 re-partitions
     the pooled data with seed config.seed + i. The same per-resample
     seed drives pattern sampling and the classifier, so the accuracy
-    vector is reproducible byte for byte.
+    vector is reproducible byte for byte. Each skipped cell is logged
+    once, on the first resample that skips it.
     """
     if n_resamples < 1:
         raise ValueError(f"n_resamples must be >= 1, got {n_resamples}")
@@ -326,7 +324,10 @@ def run_experiment(
         accuracies.append(accuracy)
         widths.append(merged.train.n_columns)
         for cell in merged.skipped:
-            skipped_union.setdefault((cell.alpha, cell.omega), cell)
+            key = (cell.alpha, cell.omega)
+            if key not in skipped_union:
+                logger.warning("skipping cell alpha=%d omega=%d: %s", *key, cell.reason)
+                skipped_union[key] = cell
         if on_resample is not None:
             on_resample(i, split, merged)
 

@@ -8,6 +8,12 @@ described by its minimal sliding distance to every shapelet. The
 distance is the squared Euclidean distance of the best alignment
 divided by the shapelet length, so features stay comparable across
 resolutions with different shapelet lengths.
+
+One kernel computes every distance, for any mix of series lengths: the
+series are zero-padded to the longest, searched with FFT sliding dot
+products, offsets that would run past a series' end are masked, and the
+best alignment is re-evaluated exactly. A shapelet longer than a series
+falls back to the single head alignment inside the same call.
 """
 
 from __future__ import annotations
@@ -16,7 +22,6 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .dataset import LabeledDataset
 from .discretizer import DiscretizedDataset
@@ -26,6 +31,8 @@ from .sampler_trie import SamplerTrie
 __all__ = ["Shapelet", "FeatureMatrix", "reverse_lookup", "min_distance", "create_feature_sets"]
 
 logger = logging.getLogger(__name__)
+
+_EPS = np.finfo(np.float64).eps
 
 
 @dataclass(frozen=True)
@@ -119,65 +126,100 @@ def min_distance(series, shapelet) -> float:
     Minimum over all alignments of mean((window - shapelet)**2). A
     shapelet longer than the series (possible only with variable-length
     datasets) is compared on the single alignment of the series against
-    the shapelet's head, and the degenerate case is logged.
+    the shapelet's head, and the degenerate case is logged. This is the
+    one-cell case of the batched kernel behind the feature matrices.
     """
-    values = shapelet.values if isinstance(shapelet, Shapelet) else np.asarray(shapelet, dtype=np.float64)
-    x = np.asarray(series, dtype=np.float64)
-    n, s = x.size, values.size
-    if s > n:
-        logger.warning(
-            "shapelet length %d exceeds series length %d; using single head alignment", s, n
-        )
-        delta = x - values[:n]
-        return float((delta * delta).mean())
-    windows = sliding_window_view(x, s)
-    delta = windows - values
-    return float((delta * delta).mean(axis=1).min())
+    return float(_distance_matrix([np.asarray(series, dtype=np.float64)], [shapelet])[0, 0])
 
 
 def _distance_matrix(series_list, shapelets) -> np.ndarray:
-    out = np.empty((len(series_list), len(shapelets)), dtype=np.float64)
-    lengths = {s.size for s in series_list}
-    if len(lengths) == 1:
-        n = lengths.pop()
-        stacked = np.stack(series_list)
-        # Prefix sums of squares give every window's energy in O(1);
-        # together with FFT sliding dot products the alignment search
-        # costs O(N n log n) per shapelet instead of O(N n s). With a
-        # transform length L >= n the circular correlation never wraps
-        # on the valid offsets 0..n-s, so one rfft of the series serves
-        # every shapelet.
-        csum = np.zeros((stacked.shape[0], n + 1))
-        np.cumsum(stacked * stacked, axis=1, out=csum[:, 1:])
-        fft_len = 1 << (n - 1).bit_length()
-        spectra = np.fft.rfft(stacked, fft_len, axis=1)
-        for j, shapelet in enumerate(shapelets):
-            values = shapelet.values
-            s = values.size
-            if s > n:
-                logger.warning(
-                    "shapelet length %d exceeds series length %d; using single head alignment",
-                    s,
-                    n,
-                )
-                delta = stacked - values[:n]
-                out[:, j] = (delta * delta).mean(axis=1)
-            else:
-                kernel = np.conj(np.fft.rfft(values, fft_len))
-                dots = np.fft.irfft(spectra * kernel, fft_len, axis=1)[:, : n - s + 1]
-                win_sq = csum[:, s:] - csum[:, :-s]
-                scores = win_sq - 2.0 * dots + float(values @ values)
-                # FFT round-off can perturb near-ties, so the winning
-                # alignment is re-evaluated with the direct formula; exact
-                # self-matches then come out as exactly 0.
-                best = scores.argmin(axis=1)
-                offsets = best[:, None] + np.arange(s)[None, :]
-                delta = np.take_along_axis(stacked, offsets, axis=1) - values
-                out[:, j] = (delta * delta).sum(axis=1) / s
+    """N x k matrix of ``min_distance`` over series of any mix of lengths.
+
+    The series are zero-padded into one N x n_max array. Prefix sums of
+    squares give every window's energy in O(1), and FFT sliding dot
+    products make the alignment search O(N n log n) per shapelet instead
+    of O(N n s). With a transform length L >= n_max the circular
+    correlation never wraps on the offsets 0..n_max-s, so one rfft of
+    the padded rows serves every shapelet. In row i only the offsets
+    0..n_i-s are real alignments; the rest run into the padding and are
+    masked to +inf (equal-length data needs no mask). A row shorter than
+    the shapelet takes the single head alignment of ``min_distance``,
+    with one warning per shapelet giving how many rows did.
+    """
+    lengths = np.array([x.size for x in series_list])
+    n_max = int(lengths.max())
+    ragged = int(lengths.min()) != n_max
+    if ragged:
+        stacked = np.zeros((lengths.size, n_max))
+        for i, x in enumerate(series_list):
+            stacked[i, : x.size] = x
     else:
-        for i, series in enumerate(series_list):
-            for j, shapelet in enumerate(shapelets):
-                out[i, j] = min_distance(series, shapelet)
+        stacked = np.stack(series_list)
+    csum = np.zeros((lengths.size, n_max + 1))
+    np.cumsum(stacked * stacked, axis=1, out=csum[:, 1:])
+    fft_len = 1 << (n_max - 1).bit_length()
+    spectra = np.fft.rfft(stacked, fft_len, axis=1)
+    # Buffers shared by every shapelet: the loop below allocates no
+    # N x fft_len array of its own.
+    product = np.empty_like(spectra)
+    correlation = np.empty((lengths.size, fft_len))
+    window_energy = np.empty((lengths.size, n_max))
+    shapelet_values = [
+        np.asarray(getattr(shapelet, "values", shapelet), dtype=np.float64) for shapelet in shapelets
+    ]
+    padded = np.zeros((len(shapelet_values), fft_len))
+    for j, values in enumerate(shapelet_values):
+        if values.size <= n_max:
+            padded[j, : values.size] = values
+    kernels = np.conj(np.fft.rfft(padded, axis=1))
+    out = np.empty((lengths.size, len(shapelets)), dtype=np.float64)
+    for j, values in enumerate(shapelet_values):
+        s = values.size
+        short = lengths < s
+        if s <= n_max:
+            width = n_max - s + 1
+            np.multiply(spectra, kernels[j], out=product)
+            # scores = window energy - 2 * dot + shapelet energy, in place
+            scores = np.fft.irfft(product, fft_len, axis=1, out=correlation)[:, :width]
+            scores *= 2.0
+            np.subtract(csum[:, s:], csum[:, :-s], out=window_energy[:, :width])
+            np.subtract(window_energy[:, :width], scores, out=scores)
+            energy = float(values @ values)
+            scores += energy
+            if ragged:
+                scores[np.arange(width) > (lengths - s)[:, None]] = np.inf
+            # FFT and prefix-sum round-off stays below a few ulps of the
+            # row's and the shapelet's energy per transform point, and can
+            # reorder near-ties. So every offset within that bound of the
+            # best score is re-evaluated with the direct formula and the
+            # smallest value kept; exact self-matches come out as 0.
+            rows, starts = np.arange(lengths.size), scores.argmin(axis=1)
+            cutoff = scores[rows, starts] + 4 * fft_len * _EPS * (csum[:, -1] + energy)
+            cutoff[short] = -np.inf  # no alignment fits: head alignment below
+            scores[rows, starts] = np.inf
+            if (scores.min(axis=1) <= cutoff).any():
+                tie_rows, tie_starts = np.nonzero(scores <= cutoff[:, None])
+                rows = np.concatenate([rows, tie_rows])
+                starts = np.concatenate([starts, tie_starts])
+            windows = (rows * n_max + starts)[:, None] + np.arange(s)
+            delta = np.take(stacked, windows) - values
+            column = np.full(lengths.size, np.inf)
+            np.minimum.at(column, rows, (delta * delta).sum(axis=1) / s)
+            out[:, j] = column
+        if short.any():
+            logger.warning(
+                "shapelet length %d exceeds series length in %d of %d series; "
+                "using single head alignment",
+                s,
+                int(short.sum()),
+                lengths.size,
+            )
+            head = min(s, n_max)
+            delta = stacked[short, :head] - values[:head]
+            sq = delta * delta
+            if ragged:
+                sq[np.arange(head) >= lengths[short, None]] = 0.0
+            out[short, j] = sq.sum(axis=1) / lengths[short]
     return out
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ps2c.cli import build_parser, main
-from ps2c.dataset import save_ucr
+from ps2c.dataset import LabeledDataset, save_ucr
 from ps2c.synthgen import SynthSpec, generate
 
 
@@ -123,6 +123,29 @@ def test_run_threads_1_and_2_byte_identical(data_paths, capsys, tmp_path):
         code, _, _ = _run(
             capsys,
             ["run", train, test, "--resamples", "2", "--threads", threads,
+             "--out", str(out), "--emit-features"],
+        )
+        assert code == 0
+        outputs.append({p.name: p.read_bytes() for p in out.iterdir() if p.name != "timings.json"})
+    assert len(outputs[0]) == 5
+    assert outputs[0] == outputs[1]
+
+
+def test_run_threads_1_and_2_byte_identical_on_mixed_lengths(capsys, tmp_path):
+    rng = np.random.default_rng(3)
+    paths = []
+    for name, seed in (("train", 0), ("test", 1)):
+        full = generate(SynthSpec(n_per_class=8, length=56, seed=seed))
+        cut = tuple(x[: int(rng.integers(36, 57))] for x in full.series)
+        path = tmp_path / f"{name}.csv"
+        save_ucr(LabeledDataset(cut, full.labels), path)
+        paths.append(str(path))
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"t{threads}"
+        code, _, _ = _run(
+            capsys,
+            ["run", *paths, "--resamples", "2", "--threads", threads,
              "--out", str(out), "--emit-features"],
         )
         assert code == 0

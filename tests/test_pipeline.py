@@ -125,6 +125,18 @@ def test_window_too_long_cells_are_skipped():
     assert merged.train.n_columns >= 1
 
 
+def test_skipped_cell_is_logged_once_per_experiment(caplog):
+    train, test = _planted(6, 24)
+    cfg = PipelineConfig(alphas=(3,), omegas=(2, 24))
+    with caplog.at_level("WARNING", logger="ps2c.pipeline"):
+        res = run_experiment(train, test, cfg, n_resamples=3)
+    records = [r.getMessage() for r in caplog.records if "skipping cell" in r.getMessage()]
+    assert records == [
+        "skipping cell alpha=3 omega=24: omega 24 >= shortest training series length 24"
+    ]
+    assert [(c.alpha, c.omega) for c in res.skipped] == [(3, 24)]
+
+
 def test_no_patterns_error():
     # both classes share identical series: nothing can discriminate
     base = np.sin(np.linspace(0, 6, 32))

@@ -12,6 +12,7 @@ from ps2c.sampler_trie import SamplerTrie
 from ps2c.shapelet_transform import (
     FeatureMatrix,
     Shapelet,
+    _distance_matrix,
     create_feature_sets,
     min_distance,
     reverse_lookup,
@@ -132,6 +133,47 @@ def test_min_distance_matches_bruteforce(series_values, data):
     assert min_distance(series, sh) == pytest.approx(
         _min_distance_oracle(series, values), abs=1e-9, rel=1e-9
     )
+
+
+@given(
+    st.lists(st.lists(st.floats(-5, 5), min_size=3, max_size=40), min_size=1, max_size=8),
+    st.data(),
+)
+@settings(max_examples=150, deadline=None)
+def test_distance_matrix_matches_oracle_on_mixed_lengths(rows, data):
+    series = [np.array(r) for r in rows]
+    max_len = max(x.size for x in series)
+    shapelets = [
+        _shapelet(data.draw(st.lists(st.floats(-5, 5), min_size=s, max_size=s)))
+        for s in data.draw(st.lists(st.integers(1, max_len + 2), min_size=1, max_size=4))
+    ]
+    # one shapelet cut from a row must score exactly 0 on that row
+    i = data.draw(st.integers(0, len(series) - 1))
+    start = data.draw(st.integers(0, series[i].size - 1))
+    stop = data.draw(st.integers(start + 1, series[i].size))
+    shapelets.append(_shapelet(series[i][start:stop]))
+
+    out = _distance_matrix(series, shapelets)
+    assert out.shape == (len(series), len(shapelets))
+    for r, x in enumerate(series):
+        for c, sh in enumerate(shapelets):
+            assert out[r, c] == pytest.approx(
+                _min_distance_oracle(x, sh.values), abs=1e-9, rel=1e-9
+            )
+    assert out[i, -1] == 0.0
+
+
+def test_long_shapelet_warns_once_per_call(caplog):
+    rng = np.random.default_rng(4)
+    series = [rng.normal(size=n) for n in (5, 12, 6, 15, 7)]
+    sh = _shapelet(rng.normal(size=10))
+    with caplog.at_level("WARNING"):
+        out = _distance_matrix(series, [sh])
+    records = [r for r in caplog.records if "exceeds series length" in r.message]
+    assert len(records) == 1
+    assert "length 10" in records[0].message and "3 of 5 series" in records[0].message
+    for r, x in enumerate(series):
+        assert out[r, 0] == pytest.approx(_min_distance_oracle(x, sh.values), abs=1e-12)
 
 
 def _fixture_cell(l_max=3, alpha=4):
