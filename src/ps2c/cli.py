@@ -187,6 +187,11 @@ def cmd_bench(args) -> int:
         for n in sizes:
             if n < 4:
                 raise ValueError(f"dataset size must be >= 4, got {n}")
+        for n in lengths:
+            if n < SynthSpec.motif_length:
+                raise ValueError(
+                    f"series length must be >= the motif length {SynthSpec.motif_length}, got {n}"
+                )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
@@ -205,6 +210,8 @@ def cmd_bench(args) -> int:
                 print(f"error: {exc}", file=sys.stderr)
                 return EXIT_NO_PATTERNS
             total = time.perf_counter() - t0
+            for cell in merged.skipped:
+                cell.log()
             cells = merged.cell_seconds
             fit_seconds = merged.timings["znormalize"] + cells["discretize"] + cells["fit_sampler"]
             rows.append(

@@ -106,6 +106,9 @@ class SkippedCell:
     omega: int
     reason: str
 
+    def log(self) -> None:
+        logger.warning("skipping cell alpha=%d omega=%d: %s", self.alpha, self.omega, self.reason)
+
 
 @dataclass(frozen=True)
 class MergedFeatureSet:
@@ -183,9 +186,9 @@ def fit_transform(
 
     Cells whose window cannot fit the shortest training series, or
     whose sampler accepts no pattern, are skipped and returned with
-    their reasons, unlogged; NoPatternsError counts the reasons when
-    every cell is. Test labels are never read:
-    the transform touches test series values only.
+    their reasons for the caller to log (``SkippedCell.log``);
+    NoPatternsError counts the reasons when every cell is. Test labels
+    are never read: the transform touches test series values only.
     """
     if len(train.classes) < 2:
         raise ValueError("training split must contain at least two classes")
@@ -326,7 +329,7 @@ def run_experiment(
         for cell in merged.skipped:
             key = (cell.alpha, cell.omega)
             if key not in skipped_union:
-                logger.warning("skipping cell alpha=%d omega=%d: %s", *key, cell.reason)
+                cell.log()
                 skipped_union[key] = cell
         if on_resample is not None:
             on_resample(i, split, merged)

@@ -33,6 +33,9 @@ __all__ = ["Shapelet", "FeatureMatrix", "reverse_lookup", "min_distance", "creat
 logger = logging.getLogger(__name__)
 
 _EPS = np.finfo(np.float64).eps
+# Most offsets per row, besides the best FFT score, that the exact
+# recheck in _distance_matrix re-evaluates.
+_NEAR_TIES = 8
 
 
 @dataclass(frozen=True)
@@ -145,16 +148,20 @@ def _distance_matrix(series_list, shapelets) -> np.ndarray:
     masked to +inf (equal-length data needs no mask). A row shorter than
     the shapelet takes the single head alignment of ``min_distance``,
     with one warning per shapelet giving how many rows did.
+
+    The best FFT score of each row is re-evaluated with the direct
+    formula, together with at most ``_NEAR_TIES`` further offsets whose
+    FFT score lies within round-off of it, and the smallest direct value
+    is kept; exact self-matches then come out as 0. When more offsets
+    than that tie (a constant row ties on every offset), the result is
+    within round-off of the minimum.
     """
     lengths = np.array([x.size for x in series_list])
     n_max = int(lengths.max())
     ragged = int(lengths.min()) != n_max
-    if ragged:
-        stacked = np.zeros((lengths.size, n_max))
-        for i, x in enumerate(series_list):
-            stacked[i, : x.size] = x
-    else:
-        stacked = np.stack(series_list)
+    stacked = np.zeros((lengths.size, n_max))
+    for i, x in enumerate(series_list):
+        stacked[i, : x.size] = x
     csum = np.zeros((lengths.size, n_max + 1))
     np.cumsum(stacked * stacked, axis=1, out=csum[:, 1:])
     fft_len = 1 << (n_max - 1).bit_length()
@@ -190,16 +197,23 @@ def _distance_matrix(series_list, shapelets) -> np.ndarray:
                 scores[np.arange(width) > (lengths - s)[:, None]] = np.inf
             # FFT and prefix-sum round-off stays below a few ulps of the
             # row's and the shapelet's energy per transform point, and can
-            # reorder near-ties. So every offset within that bound of the
-            # best score is re-evaluated with the direct formula and the
-            # smallest value kept; exact self-matches come out as 0.
+            # reorder near-ties: the offsets within that bound of the best
+            # score go to the direct recheck, at most _NEAR_TIES per row.
             rows, starts = np.arange(lengths.size), scores.argmin(axis=1)
             cutoff = scores[rows, starts] + 4 * fft_len * _EPS * (csum[:, -1] + energy)
             cutoff[short] = -np.inf  # no alignment fits: head alignment below
             scores[rows, starts] = np.inf
-            if (scores.min(axis=1) <= cutoff).any():
-                tie_rows, tie_starts = np.nonzero(scores <= cutoff[:, None])
-                rows = np.concatenate([rows, tie_rows])
+            tied = np.flatnonzero(scores.min(axis=1) <= cutoff)
+            # Most calls have no near-tie, and this block's dozen small numpy
+            # calls per shapelet would add about a tenth to the kernel's time.
+            if tied.size:
+                near = scores[tied] <= cutoff[tied, None]
+                crowded = np.flatnonzero(np.count_nonzero(near, axis=1) > _NEAR_TIES)
+                nearest = np.argpartition(scores[tied[crowded]], _NEAR_TIES - 1, axis=1)
+                near[crowded] = False
+                near[crowded[:, None], nearest[:, :_NEAR_TIES]] = True
+                tie_rows, tie_starts = np.nonzero(near)
+                rows = np.concatenate([rows, tied[tie_rows]])
                 starts = np.concatenate([starts, tie_starts])
             windows = (rows * n_max + starts)[:, None] + np.arange(s)
             delta = np.take(stacked, windows) - values
@@ -217,8 +231,7 @@ def _distance_matrix(series_list, shapelets) -> np.ndarray:
             head = min(s, n_max)
             delta = stacked[short, :head] - values[:head]
             sq = delta * delta
-            if ragged:
-                sq[np.arange(head) >= lengths[short, None]] = 0.0
+            sq[np.arange(head) >= lengths[short, None]] = 0.0
             out[short, j] = sq.sum(axis=1) / lengths[short]
     return out
 

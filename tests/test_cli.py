@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -5,8 +6,10 @@ import sys
 import numpy as np
 import pytest
 
+from ps2c import cli
 from ps2c.cli import build_parser, main
 from ps2c.dataset import LabeledDataset, save_ucr
+from ps2c.pipeline import SkippedCell, fit_transform
 from ps2c.synthgen import SynthSpec, generate
 
 
@@ -256,6 +259,25 @@ def test_bench_two_sizes(capsys):
     assert [r["n_instances"] for r in rows] == [40, 80]
     for r in rows:
         assert r["fit_seconds"] >= 0 and r["transform_seconds"] >= 0
+
+
+def test_bench_logs_skipped_cells(capsys, caplog, monkeypatch):
+    def skipping_fit_transform(*args, **kwargs):
+        merged = fit_transform(*args, **kwargs)
+        return dataclasses.replace(merged, skipped=(SkippedCell(9, 7, "for the test"),))
+
+    monkeypatch.setattr(cli, "fit_transform", skipping_fit_transform)
+    with caplog.at_level("WARNING", logger="ps2c.pipeline"):
+        code, _, _ = _run(capsys, ["bench", "--sizes", "8", "--lengths", "32", "--seed", "1"])
+    assert code == 0
+    records = [r.getMessage() for r in caplog.records if "skipping cell" in r.getMessage()]
+    assert records == ["skipping cell alpha=9 omega=7: for the test"]
+
+
+def test_bench_length_below_motif_exit_1(capsys):
+    code, _, stderr = _run(capsys, ["bench", "--sizes", "8", "--lengths", "4"])
+    assert code == 1
+    assert "motif length 16, got 4" in stderr
 
 
 def test_bench_empty_sizes_exit_1(capsys):

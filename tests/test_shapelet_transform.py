@@ -1,4 +1,5 @@
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -174,6 +175,27 @@ def test_long_shapelet_warns_once_per_call(caplog):
     assert "length 10" in records[0].message and "3 of 5 series" in records[0].message
     for r, x in enumerate(series):
         assert out[r, 0] == pytest.approx(_min_distance_oracle(x, sh.values), abs=1e-12)
+
+
+def test_constant_rows_keep_the_recheck_small():
+    # a z-normalised constant series is all zeros: every offset ties
+    rng = np.random.default_rng(6)
+    series = [np.zeros(1000) for _ in range(4)] + [rng.normal(size=1000) for _ in range(4)]
+    shapelets = [_shapelet(series[5][100 : 100 + s]) for s in (50, 300, 600)]
+    tracemalloc.start()
+    try:
+        out = _distance_matrix(series, shapelets)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # gathering every tied window would take 4 rows x ~700 offsets x s floats
+    assert peak < 4 * 2**20
+    for r, x in enumerate(series):
+        for c, sh in enumerate(shapelets):
+            assert out[r, c] == pytest.approx(
+                _min_distance_oracle(x, sh.values), abs=1e-9, rel=1e-9
+            )
+    assert (out[5] == 0.0).all()
 
 
 def _fixture_cell(l_max=3, alpha=4):
