@@ -9,11 +9,9 @@ min-distance features for an off-the-shelf classifier.
 
 from .dataset import (
     LabeledDataset,
-    SplitPair,
     UcrFormatError,
     load_ucr,
     resample_split,
-    save_ucr,
     znormalize,
     znormalize_dataset,
 )
@@ -23,12 +21,11 @@ from .discretizer import (
     compute_breakpoints,
     discretize,
     paa,
-    paa_length,
     sax,
     sax_text,
 )
 from .forest import RandomForest
-from .pattern_index import PatternIndex, decode_pattern, encode_pattern
+from .pattern_index import PatternIndex
 from .pipeline import (
     ExperimentResult,
     MergedFeatureSet,
@@ -43,7 +40,6 @@ from .pipeline import (
     train_classifier,
 )
 from .quality import (
-    ContingencyTable,
     chi2,
     contingency,
     normalize,
@@ -64,10 +60,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "LabeledDataset",
-    "SplitPair",
     "UcrFormatError",
     "load_ucr",
-    "save_ucr",
     "znormalize",
     "znormalize_dataset",
     "resample_split",
@@ -75,19 +69,15 @@ __all__ = [
     "DiscretizedDataset",
     "compute_breakpoints",
     "paa",
-    "paa_length",
     "sax",
     "sax_text",
     "discretize",
-    "ContingencyTable",
     "contingency",
     "chi2",
     "normalize",
     "scale",
     "pattern_quality",
     "PatternIndex",
-    "encode_pattern",
-    "decode_pattern",
     "SamplerTrie",
     "fit_sampler",
     "Shapelet",

@@ -94,6 +94,8 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
 
 def cmd_run(args) -> int:
     try:
+        if args.resamples < 1:
+            raise ValueError(f"--resamples must be >= 1, got {args.resamples}")
         threads = _resolve_threads(args.threads)
         config = _config_from(args)
         train = load_ucr(args.train)
@@ -249,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("test", help="test split file")
     _add_config_flags(p_run)
     p_run.add_argument("--resamples", type=int, default=1,
-                       help="number of shuffled train/test resamples (0 keeps the original split)")
+                       help="number of train/test resamples; resample 0 keeps the original split")
     p_run.add_argument("--threads", type=int, default=None,
                        help="worker threads (default: PS2C_THREADS or all cores)")
     p_run.add_argument("--out", default="ps2c_out", help="artifact output directory")

@@ -107,7 +107,7 @@ def sax(series, params: SaxParams) -> np.ndarray:
 
 def sax_text(codes: np.ndarray) -> str:
     """Render symbol indices as a lowercase-letter string."""
-    return bytes(int(c) + _ORD_A for c in np.asarray(codes)).decode("ascii")
+    return (np.asarray(codes, dtype=np.uint8) + _ORD_A).tobytes().decode("ascii")
 
 
 class DiscretizedDataset:

@@ -2,65 +2,41 @@
 
 For every pattern length 2..l_max, maps each distinct pattern to the
 set of instances containing it and to its earliest occurrence in
-dataset order. Hashed per-length enumeration stands in for the suffix
-trees of richer implementations; only presence and first occurrence
-are ever queried.
+dataset order. Per-length tables stand in for the suffix trees of
+richer implementations; only presence and first occurrence are ever
+queried.
 
-Patterns are packed into uint64 codes base-alpha so enumeration,
-deduplication and presence counting vectorise; lengths whose code
-space exceeds 64 bits fall back to a plain dict scan.
+Each length's table comes from one stable sort of that length's
+windows over the flat symbol array, with the renaming of Karp, Miller
+& Rosenberg (1972): the key of a length-l window is the dense
+lexicographic rank of its (l-1)-prefix times alpha plus its last
+symbol. Keys stay below the window count times alpha, so every
+alphabet and length takes the same path, and sorted keys are in
+lexicographic pattern order. A pattern's text is sliced from its first
+occurrence; queries by text binary-search the sorted rows.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
 
-from .discretizer import DiscretizedDataset
+from .discretizer import DiscretizedDataset, sax_text
 
-__all__ = ["PatternIndex", "encode_pattern", "decode_pattern"]
-
-_ORD_A = ord("a")
-
-
-def _packable(alpha: int, length: int) -> bool:
-    return alpha**length <= 2**64
-
-
-def encode_pattern(pattern: str, alpha: int) -> int:
-    """Pack a letter pattern into its base-alpha integer code."""
-    code = 0
-    for ch in pattern:
-        sym = ord(ch) - _ORD_A
-        if not 0 <= sym < alpha:
-            raise ValueError(f"symbol {ch!r} outside alphabet of size {alpha}")
-        code = code * alpha + sym
-    return code
-
-
-def decode_pattern(code: int, length: int, alpha: int) -> str:
-    """Inverse of :func:`encode_pattern`."""
-    syms = []
-    for _ in range(length):
-        code, sym = divmod(code, alpha)
-        syms.append(chr(_ORD_A + sym))
-    return "".join(reversed(syms))
+__all__ = ["PatternIndex"]
 
 
 @dataclass
 class _LengthTable:
     """All distinct patterns of one length.
 
-    Rows are sorted lexicographically (== ascending code order). The
-    (pattern, instance) presence pairs form a CSR layout: row r owns
+    Rows are sorted lexicographically. The (pattern, instance) presence
+    pairs form a CSR layout: row r owns
     pair_instance[pair_starts[r]:pair_starts[r+1]].
     """
 
-    length: int
-    codes: np.ndarray | None        # uint64, packed path
-    texts: list[str] | None         # fallback path
-    text_rows: dict[str, int] | None
     first_instance: np.ndarray
     first_offset: np.ndarray
     pair_pattern: np.ndarray
@@ -70,23 +46,6 @@ class _LengthTable:
     @property
     def n_patterns(self) -> int:
         return self.first_instance.size
-
-    def row_of(self, pattern: str, alpha: int) -> int | None:
-        if self.codes is not None:
-            try:
-                code = encode_pattern(pattern, alpha)
-            except ValueError:
-                return None
-            i = int(np.searchsorted(self.codes, np.uint64(code)))
-            if i < self.codes.size and int(self.codes[i]) == code:
-                return i
-            return None
-        return self.text_rows.get(pattern)
-
-    def text_of(self, row: int, alpha: int) -> str:
-        if self.codes is not None:
-            return decode_pattern(int(self.codes[row]), self.length, alpha)
-        return self.texts[row]
 
     def instances_of(self, row: int) -> np.ndarray:
         return self.pair_instance[self.pair_starts[row] : self.pair_starts[row + 1]]
@@ -100,14 +59,13 @@ class PatternIndex:
 
     def __init__(
         self,
-        alpha: int,
-        n_instances: int,
+        discretized: DiscretizedDataset,
         l_max: int,
         tables: dict[int, _LengthTable],
     ):
-        self.alpha = alpha
-        self.n_instances = n_instances
+        self.n_instances = discretized.n_instances
         self.l_max = l_max
+        self._codes = discretized.codes
         self._tables = tables
 
     @classmethod
@@ -121,108 +79,50 @@ class PatternIndex:
         if l_max < 2:
             raise ValueError(f"l_max must be >= 2, got {l_max}")
         alpha = discretized.params.alpha
-        codes_list = discretized.codes
-        n = len(codes_list)
-        longest = max((c.size for c in codes_list), default=0)
-        top = min(l_max, longest)
+        codes = discretized.codes
+        sizes = np.array([c.size for c in codes], dtype=np.int64)
+        ends = np.cumsum(sizes)
+        starts = ends - sizes
+        symbols = np.concatenate([np.empty(0, np.int64), *codes], dtype=np.int64)
 
+        # the windows of the previous length, instance-major: start
+        # position, instance, and dense lexicographic rank (at length 1
+        # the rank is the symbol itself)
+        pos = np.arange(symbols.size)
+        inst = np.repeat(np.arange(sizes.size), sizes)
+        rank = symbols
         tables: dict[int, _LengthTable] = {}
-        if top < 2:
-            return cls(alpha, n, l_max, tables)
-
-        lengths = np.array([c.size for c in codes_list], dtype=np.int64)
-        concat = np.concatenate([c.astype(np.uint64) for c in codes_list])
-        starts = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(lengths, out=starts[1:])
-        inst_of = np.repeat(np.arange(n, dtype=np.int64), lengths)
-        total = concat.size
-
-        rolling: np.ndarray | None = None
-        base = np.uint64(alpha)
-        for length in range(2, top + 1):
-            if not _packable(alpha, length):
-                for l2 in range(length, top + 1):
-                    table = cls._build_fallback(discretized.strings, l2, n)
-                    if table is not None:
-                        tables[l2] = table
+        for length in range(2, l_max + 1):
+            # a window stays valid while its last symbol lies in its instance
+            keep = pos + (length - 1) < ends[inst]
+            pos, inst = pos[keep], inst[keep]
+            if pos.size == 0:
                 break
-            if rolling is None:
-                rolling = concat[:-1] * base + concat[1:]
-            else:
-                rolling = rolling[:-1] * base + concat[length - 1 :]
-            if rolling.size == 0:
-                break
-            # a window starting at flat position f is valid iff its last
-            # symbol still lies in the same instance
-            valid = inst_of[: total - length + 1] == inst_of[length - 1 :]
-            vcodes = rolling[valid]
-            if vcodes.size == 0:
-                continue
-            vflat = np.nonzero(valid)[0]
-            uniq, first_idx, inverse = np.unique(
-                vcodes, return_index=True, return_inverse=True
-            )
-            first_flat = vflat[first_idx]
-            first_instance = inst_of[first_flat]
-            first_offset = first_flat - starts[first_instance]
-            key = inverse.astype(np.int64) * n + inst_of[vflat]
-            pairs = np.unique(key)
-            pair_pattern = pairs // n
-            pair_instance = pairs % n
-            pair_starts = np.searchsorted(
-                pair_pattern, np.arange(uniq.size + 1, dtype=np.int64)
-            )
+            key = rank[keep] * alpha + symbols[pos + (length - 1)]
+            # stable, so each run of equal keys keeps ascending
+            # (instance, offset) order and starts at its first occurrence
+            order = np.argsort(key, kind="stable")
+            key = key[order]
+            pair_inst = inst[order]
+            new_pattern = np.ones(key.size, dtype=bool)
+            np.not_equal(key[1:], key[:-1], out=new_pattern[1:])
+            new_pair = new_pattern.copy()
+            new_pair[1:] |= pair_inst[1:] != pair_inst[:-1]
+            group = np.cumsum(new_pattern) - 1
+            rank = np.empty_like(group)
+            rank[order] = group
+
+            first = order[new_pattern]
+            first_instance = inst[first]
+            pair_pattern = group[new_pair]
             tables[length] = _LengthTable(
-                length,
-                uniq,
-                None,
-                None,
                 first_instance,
-                first_offset,
+                pos[first] - starts[first_instance],
                 pair_pattern,
-                pair_instance,
-                pair_starts,
+                pair_inst[new_pair],
+                np.append(np.flatnonzero(new_pattern[new_pair]), pair_pattern.size),
             )
-        return cls(alpha, n, l_max, tables)
-
-    @staticmethod
-    def _build_fallback(
-        strings: tuple[str, ...], length: int, n: int
-    ) -> _LengthTable | None:
-        found: dict[str, list] = {}
-        for i, s in enumerate(strings):
-            for o in range(len(s) - length + 1):
-                pat = s[o : o + length]
-                entry = found.get(pat)
-                if entry is None:
-                    found[pat] = [i, o, {i}]
-                else:
-                    entry[2].add(i)
-        if not found:
-            return None
-        texts = sorted(found)
-        text_rows = {t: r for r, t in enumerate(texts)}
-        first_instance = np.array([found[t][0] for t in texts], dtype=np.int64)
-        first_offset = np.array([found[t][1] for t in texts], dtype=np.int64)
-        pair_pattern = []
-        pair_instance = []
-        pair_starts = [0]
-        for t in texts:
-            members = sorted(found[t][2])
-            pair_pattern.extend([text_rows[t]] * len(members))
-            pair_instance.extend(members)
-            pair_starts.append(len(pair_instance))
-        return _LengthTable(
-            length,
-            None,
-            texts,
-            text_rows,
-            first_instance,
-            first_offset,
-            np.array(pair_pattern, dtype=np.int64),
-            np.array(pair_instance, dtype=np.int64),
-            np.array(pair_starts, dtype=np.int64),
-        )
+        return cls(discretized, l_max, tables)
 
     # -- queries ---------------------------------------------------------
 
@@ -237,11 +137,7 @@ class PatternIndex:
 
     def distinct_patterns(self, length: int) -> set[str]:
         """The distinct length-l substrings present in at least one instance."""
-        self._check_length(length)
-        table = self._tables.get(length)
-        if table is None:
-            return set()
-        return {table.text_of(r, self.alpha) for r in range(table.n_patterns)}
+        return {self.row_text(length, r) for r in range(self.pattern_count(length))}
 
     def presence_vector(self, pattern: str) -> np.ndarray:
         """Boolean vector: bit i set iff the pattern occurs in instance i.
@@ -250,13 +146,9 @@ class PatternIndex:
         vector rather than an error.
         """
         out = np.zeros(self.n_instances, dtype=bool)
-        table = self._tables.get(len(pattern))
-        if table is None:
-            return out
-        row = table.row_of(pattern, self.alpha)
-        if row is None:
-            return out
-        out[table.instances_of(row)] = True
+        row = self._row_of(pattern)
+        if row is not None:
+            out[self._tables[len(pattern)].instances_of(row)] = True
         return out
 
     def first_occurrence(self, pattern: str) -> tuple[int, int]:
@@ -265,10 +157,10 @@ class PatternIndex:
         Ties break toward the lowest instance index, then lowest offset,
         so reverse lookup is deterministic across runs.
         """
-        table = self._tables.get(len(pattern))
-        row = None if table is None else table.row_of(pattern, self.alpha)
+        row = self._row_of(pattern)
         if row is None:
             raise KeyError(f"pattern {pattern!r} occurs in no instance")
+        table = self._tables[len(pattern)]
         return int(table.first_instance[row]), int(table.first_offset[row])
 
     def presence_counts(self, length: int, class_of: np.ndarray, n_classes: int) -> np.ndarray:
@@ -282,7 +174,21 @@ class PatternIndex:
         return flat.reshape(table.n_patterns, n_classes)
 
     def row_text(self, length: int, row: int) -> str:
-        return self._tables[length].text_of(row, self.alpha)
+        """The pattern in a row, sliced from its first occurrence."""
+        table = self._tables[length]
+        offset = table.first_offset[row]
+        return sax_text(self._codes[table.first_instance[row]][offset : offset + length])
+
+    def _row_of(self, pattern: str) -> int | None:
+        length = len(pattern)
+        table = self._tables.get(length)
+        if table is None:
+            return None
+        rows = range(table.n_patterns)
+        row = bisect_left(rows, pattern, key=lambda r: self.row_text(length, r))
+        if row < table.n_patterns and self.row_text(length, row) == pattern:
+            return row
+        return None
 
     def _check_length(self, length: int) -> None:
         if not 2 <= length <= self.l_max:

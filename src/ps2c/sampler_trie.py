@@ -1,7 +1,7 @@
 """Pattern sampler: a flat log-weight store drawn by Gumbel-top-k.
 
 Accepted patterns are parallel arrays (length, pattern-table row,
-quality q, log-weight log(q)/tau), and text is decoded only for drawn
+quality q, log-weight log(q)/tau), and text is sliced only for drawn
 patterns. Pattern i is drawn with probability w_i / sum(w), where
 w = q**(1/tau). Adding Gumbel noise to every log-weight and keeping the
 k largest keys draws k distinct patterns with exactly the law of

@@ -1,7 +1,7 @@
 """Reverse lookup of sampled patterns and min-distance feature matrices.
 
 The sampler draws k distinct patterns per cell by Gumbel-top-k over
-its flat log-weight store, and only those k are decoded to text. Each
+its flat log-weight store, and only those k are sliced to text. Each
 sampled symbolic pattern is grounded in its earliest occurrence in the
 training data, yielding a real-valued shapelet; each instance is then
 described by its minimal sliding distance to every shapelet. The

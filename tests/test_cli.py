@@ -72,6 +72,19 @@ def test_run_parse_error(capsys, tmp_path):
     assert "non-numeric" in stderr
 
 
+@pytest.mark.parametrize("resamples", ["0", "-2"])
+def test_run_resamples_below_one_exit_1(data_paths, capsys, tmp_path, resamples):
+    train, test = data_paths
+    out = tmp_path / "out"
+    code, stdout, stderr = _run(
+        capsys, ["run", train, test, "--resamples", resamples, "--out", str(out)]
+    )
+    assert code == 1
+    assert stdout == ""
+    assert f"error: --resamples must be >= 1, got {resamples}" in stderr
+    assert not out.exists()
+
+
 def test_run_emit_features(data_paths, capsys, tmp_path):
     train, test = data_paths
     out = tmp_path / "feat"

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ps2c.discretizer import DiscretizedDataset, SaxParams
-from ps2c.pattern_index import PatternIndex, decode_pattern, encode_pattern
+from ps2c.pattern_index import PatternIndex
 
 LETTERS = string.ascii_lowercase
 
@@ -86,6 +86,14 @@ def test_unknown_pattern_presence_is_zero_not_error():
         index.first_occurrence("dd")
 
 
+@pytest.mark.parametrize("pattern", ["zz", "az", "za", "dz", "Ab", "b!"])
+def test_out_of_alphabet_pattern_is_absent(pattern):
+    index = PatternIndex.build(_dataset(["abcd", "dcba"], 4), 3)
+    assert index.presence_vector(pattern).tolist() == [False, False]
+    with pytest.raises(KeyError):
+        index.first_occurrence(pattern)
+
+
 def test_length_out_of_range():
     index = PatternIndex.build(_dataset(["abc", "bcd"], 4), 3)
     for l in (1, 4):
@@ -125,15 +133,18 @@ def test_oracle_equivalence_random(strings, l_max):
     _assert_matches_oracle(strings, 4, l_max)
 
 
-def test_oracle_equivalence_wide_alphabet_fallback():
-    # alpha=26 with lengths >= 14 cannot pack into 64-bit codes, forcing
-    # the dict-based enumeration path; oracle must still agree
+def test_oracle_equivalence_alpha_26_l_max_20():
+    # every length up to l_max = 20 has patterns, and 26**20 exceeds
+    # 64 bits, so the rank keys must stay small at every length
     rng = np.random.default_rng(7)
     strings = [
-        "".join(rng.choice(list(LETTERS), size=rng.integers(14, 24)))
+        "".join(rng.choice(list(LETTERS), size=rng.integers(20, 40)))
         for _ in range(8)
     ]
-    _assert_matches_oracle(strings, 26, 16)
+    strings += ["ab" * 12, "ab" * 11 + "z"]
+    _assert_matches_oracle(strings, 26, 20)
+    index = PatternIndex.build(_dataset(strings, 26), 20)
+    assert index.lengths() == list(range(2, 21))
 
 
 def test_presence_counts_matches_presence_vectors():
@@ -153,13 +164,6 @@ def test_presence_counts_matches_presence_vectors():
 def test_empty_index_when_all_strings_short():
     index = PatternIndex.build(_dataset(["a", "b"], 2), 5)
     assert index.lengths() == []
-
-
-@given(st.text(alphabet="abcdefgh", min_size=1, max_size=12))
-@settings(max_examples=200, deadline=None)
-def test_encode_decode_roundtrip(pattern):
-    code = encode_pattern(pattern, 8)
-    assert decode_pattern(code, len(pattern), 8) == pattern
 
 
 def test_build_requires_lmax_at_least_two():
