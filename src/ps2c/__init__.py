@@ -39,13 +39,7 @@ from .pipeline import (
     run_experiment,
     train_classifier,
 )
-from .quality import (
-    chi2,
-    contingency,
-    normalize,
-    pattern_quality,
-    scale,
-)
+from .quality import pattern_quality, scale
 from .sampler_trie import SamplerTrie, fit_sampler
 from .shapelet_transform import (
     FeatureMatrix,
@@ -72,9 +66,6 @@ __all__ = [
     "sax",
     "sax_text",
     "discretize",
-    "contingency",
-    "chi2",
-    "normalize",
     "scale",
     "pattern_quality",
     "PatternIndex",

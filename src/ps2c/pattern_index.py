@@ -12,8 +12,14 @@ windows over the flat symbol array, with the renaming of Karp, Miller
 lexicographic rank of its (l-1)-prefix times alpha plus its last
 symbol. Keys stay below the window count times alpha, so every
 alphabet and length takes the same path, and sorted keys are in
-lexicographic pattern order. A pattern's text is sliced from its first
-occurrence; queries by text binary-search the sorted rows.
+lexicographic pattern order. The windows stay in that sorted order from
+one length to the next: the next keys then arrive grouped by prefix
+rank, each group already in (instance, offset) order, so the sort
+mostly merges runs that are in order and no rank is scattered back.
+A pattern's text is sliced from its first occurrence; queries by text
+binary-search the sorted rows. Scoring reads a length's table as one
+(patterns, classes) array of presence counts and works on it one class
+column at a time.
 """
 
 from __future__ import annotations
@@ -85,9 +91,10 @@ class PatternIndex:
         starts = ends - sizes
         symbols = np.concatenate([np.empty(0, np.int64), *codes], dtype=np.int64)
 
-        # the windows of the previous length, instance-major: start
-        # position, instance, and dense lexicographic rank (at length 1
-        # the rank is the symbol itself)
+        # the windows of the previous length, sorted by pattern and then
+        # by (instance, offset): start position, instance, and dense
+        # lexicographic rank (at length 1 the windows are in flat order
+        # and the rank is the symbol itself)
         pos = np.arange(symbols.size)
         inst = np.repeat(np.arange(sizes.size), sizes)
         rank = symbols
@@ -95,31 +102,28 @@ class PatternIndex:
         for length in range(2, l_max + 1):
             # a window stays valid while its last symbol lies in its instance
             keep = pos + (length - 1) < ends[inst]
-            pos, inst = pos[keep], inst[keep]
+            pos, inst, rank = pos[keep], inst[keep], rank[keep]
             if pos.size == 0:
                 break
-            key = rank[keep] * alpha + symbols[pos + (length - 1)]
-            # stable, so each run of equal keys keeps ascending
-            # (instance, offset) order and starts at its first occurrence
+            # keys arrive grouped by ascending prefix rank, each group in
+            # (instance, offset) order, so the stable sort only merges
+            # runs and each run of equal keys starts at its first occurrence
+            key = rank * alpha + symbols[pos + (length - 1)]
             order = np.argsort(key, kind="stable")
-            key = key[order]
-            pair_inst = inst[order]
+            key, pos, inst = key[order], pos[order], inst[order]
             new_pattern = np.ones(key.size, dtype=bool)
             np.not_equal(key[1:], key[:-1], out=new_pattern[1:])
             new_pair = new_pattern.copy()
-            new_pair[1:] |= pair_inst[1:] != pair_inst[:-1]
-            group = np.cumsum(new_pattern) - 1
-            rank = np.empty_like(group)
-            rank[order] = group
+            new_pair[1:] |= inst[1:] != inst[:-1]
+            rank = np.cumsum(new_pattern) - 1
 
-            first = order[new_pattern]
-            first_instance = inst[first]
-            pair_pattern = group[new_pair]
+            first_instance = inst[new_pattern]
+            pair_pattern = rank[new_pair]
             tables[length] = _LengthTable(
                 first_instance,
-                pos[first] - starts[first_instance],
+                pos[new_pattern] - starts[first_instance],
                 pair_pattern,
-                pair_inst[new_pair],
+                inst[new_pair],
                 np.append(np.flatnonzero(new_pattern[new_pair]), pair_pattern.size),
             )
         return cls(discretized, l_max, tables)

@@ -3,114 +3,16 @@
 Pearson chi-square over the pattern-presence-by-class contingency
 table, normalised by the instance count into (0, 1], then biased
 toward strong patterns by temperature scaling q**(1/tau).
+``chi2_normalized_many`` scores every pattern of a length at once, one
+class column at a time; ``pattern_quality`` is the same computation for
+a single presence vector.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-__all__ = [
-    "ContingencyTable",
-    "contingency",
-    "chi2",
-    "normalize",
-    "scale",
-    "pattern_quality",
-    "chi2_normalized_many",
-]
-
-# Normalised values may overshoot 1 by float noise up to this much.
-_CLAMP_EPS = 1e-12
-
-
-@dataclass(frozen=True)
-class ContingencyTable:
-    """Per-class counts of instances containing / lacking a pattern."""
-
-    classes: tuple[str, ...]
-    present: np.ndarray
-    absent: np.ndarray
-
-    def __post_init__(self):
-        present = np.asarray(self.present, dtype=np.int64)
-        absent = np.asarray(self.absent, dtype=np.int64)
-        object.__setattr__(self, "present", present)
-        object.__setattr__(self, "absent", absent)
-        if not (len(self.classes) == present.size == absent.size):
-            raise ValueError("per-class counts must align with the class list")
-        if np.any(present < 0) or np.any(absent < 0):
-            raise ValueError("counts must be non-negative")
-
-    @property
-    def class_sizes(self) -> np.ndarray:
-        return self.present + self.absent
-
-    @property
-    def n(self) -> int:
-        return int(self.class_sizes.sum())
-
-
-def contingency(presence, labels) -> ContingencyTable:
-    """Count, per class, the instances where the pattern is present/absent."""
-    presence = np.asarray(presence, dtype=bool)
-    labels = [str(c) for c in labels]
-    if presence.size != len(labels):
-        raise ValueError(
-            f"presence vector ({presence.size}) and labels ({len(labels)}) "
-            "must be index-aligned"
-        )
-    classes = tuple(sorted(set(labels)))
-    index = {c: i for i, c in enumerate(classes)}
-    present = np.zeros(len(classes), dtype=np.int64)
-    absent = np.zeros(len(classes), dtype=np.int64)
-    for hit, label in zip(presence, labels):
-        if hit:
-            present[index[label]] += 1
-        else:
-            absent[index[label]] += 1
-    return ContingencyTable(classes, present, absent)
-
-
-def chi2(table: ContingencyTable) -> float:
-    """Pearson chi-square of a |C|x2 contingency table.
-
-    Cells with expected count 0 contribute 0; this happens only when the
-    pattern is present in all instances or absent from all, where the
-    statistic is 0 by construction.
-    """
-    n = table.n
-    if n < 2:
-        raise ValueError("contingency table needs at least 2 instances")
-    if len(table.classes) < 2:
-        raise ValueError("contingency table needs at least 2 classes")
-    total_present = int(table.present.sum())
-    total_absent = n - total_present
-    if total_present == 0 or total_absent == 0:
-        return 0.0
-    # Cell order (class-major, present-then-absent) and operation order
-    # are mirrored exactly in chi2_normalized_many so both scoring routes
-    # agree bitwise at threshold boundaries.
-    obs = np.stack(
-        [table.present.astype(np.float64), table.absent.astype(np.float64)], axis=1
-    )
-    sizes = table.class_sizes.astype(np.float64)
-    cols = np.array([total_present, total_absent], dtype=np.float64)
-    expected = sizes[:, None] * cols[None, :] / n
-    return float(((obs - expected) ** 2 / expected).sum())
-
-
-def normalize(raw: float, n: int) -> float:
-    """Divide a raw chi-square by the instance count, clamped into [0, 1]."""
-    if n <= 0:
-        raise ValueError("instance count must be positive")
-    q = raw / n
-    if q < 0.0:
-        return 0.0
-    if q > 1.0:
-        return 1.0
-    return q
+__all__ = ["scale", "pattern_quality", "chi2_normalized_many"]
 
 
 def scale(q: float, tau: float) -> float:
@@ -135,36 +37,66 @@ def scale(q: float, tau: float) -> float:
 
 def pattern_quality(presence, labels) -> float:
     """Normalised chi-square of a presence vector against the labels."""
-    table = contingency(presence, labels)
-    return normalize(chi2(table), table.n)
+    presence = np.asarray(presence, dtype=bool)
+    labels = np.array([str(c) for c in labels])
+    if presence.size != labels.size:
+        raise ValueError(
+            f"presence vector ({presence.size}) and labels ({labels.size}) "
+            "must be index-aligned"
+        )
+    _, class_of = np.unique(labels, return_inverse=True)
+    sizes = np.bincount(class_of)
+    present = np.bincount(class_of[presence], minlength=sizes.size)
+    return float(chi2_normalized_many(present[None, :], sizes)[0])
 
 
 def chi2_normalized_many(present: np.ndarray, class_sizes: np.ndarray) -> np.ndarray:
-    """Vectorised normalised chi-square for many patterns at once.
+    """Normalised Pearson chi-square for many patterns at once.
+
+    Each pattern's |C|x2 table holds, per class, the instances that
+    contain it and those that lack it. The cell terms are added to one
+    (P,) accumulator class by class, present before absent. Patterns
+    present in every instance or in none score 0.
+
+    Up to 3 classes this adds the terms in the same order as numpy's sum
+    over a stacked (P, C, 2) array, so scores are the same bits. From 4
+    classes numpy's pairwise sum groups the terms differently, and the
+    two may differ in the last bits.
 
     Parameters
     ----------
     present : (P, C) int array
         Per-pattern, per-class counts of instances containing the pattern.
     class_sizes : (C,) int array
-        Instances per class; sums to N.
+        Instances per class; sums to N > 0.
 
     Returns
     -------
     (P,) float array of normalised statistics, clamped into [0, 1].
     """
-    present = np.asarray(present, dtype=np.float64)
+    # one contiguous float column per class
+    present = np.asarray(present, dtype=np.float64, order="F")
     sizes = np.asarray(class_sizes, dtype=np.float64)
     n = sizes.sum()
-    absent = sizes[None, :] - present
-    # Same cell layout and operation order as the scalar chi2: patterns that
-    # land exactly on a threshold must score identically on both routes.
-    obs = np.stack([present, absent], axis=2)
-    total_present = present.sum(axis=1)
-    cols = np.stack([total_present, n - total_present], axis=1)
-    expected = sizes[None, :, None] * cols[:, None, :] / n
+    if n <= 0:
+        raise ValueError("class sizes must sum to a positive instance count")
+    # whole-number counts add exactly in any order; a column at a time is
+    # much faster than a sum over each short row
+    total_present = np.zeros(present.shape[0])
+    for observed in present.T:
+        total_present += observed
+    total_absent = n - total_present
+    stat = np.zeros(present.shape[0])
     with np.errstate(divide="ignore", invalid="ignore"):
-        stat = ((obs - expected) ** 2 / expected).sum(axis=(1, 2))
-    degenerate = (cols[:, 0] == 0) | (cols[:, 1] == 0)
-    q = np.where(degenerate, 0.0, stat / n)
-    return np.clip(q, 0.0, 1.0)
+        for size, observed in zip(sizes, present.T):
+            for obs, total in ((observed, total_present), (size - observed, total_absent)):
+                expected = size * total
+                expected /= n
+                term = obs - expected
+                term *= term
+                term /= expected
+                stat += term
+    stat /= n
+    stat[(total_present == 0) | (total_absent == 0)] = 0.0
+    # every term is non-negative, so only the upper clamp can act
+    return np.minimum(stat, 1.0, out=stat)

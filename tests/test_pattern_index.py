@@ -39,6 +39,14 @@ def _assert_matches_oracle(strings, alpha, l_max):
         by_len.setdefault(len(pat), set()).add(pat)
     for l in range(2, l_max + 1):
         assert index.distinct_patterns(l) == by_len.get(l, set())
+    # the build carries sorted windows from one length to the next: rows
+    # come in strictly increasing text order, each row's instances in
+    # strictly increasing order
+    for l in index.lengths():
+        texts = [index.row_text(l, r) for r in range(index.pattern_count(l))]
+        assert all(a < b for a, b in zip(texts, texts[1:]))
+        for r in range(index.pattern_count(l)):
+            assert np.all(np.diff(index._tables[l].instances_of(r)) > 0)
     for pat, entry in oracle.items():
         vec = index.presence_vector(pat)
         assert set(np.nonzero(vec)[0]) == entry["instances"]

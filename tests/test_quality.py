@@ -7,48 +7,33 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2_contingency
 
-from ps2c.quality import (
-    ContingencyTable,
-    chi2,
-    chi2_normalized_many,
-    contingency,
-    normalize,
-    pattern_quality,
-    scale,
-)
+from ps2c.quality import chi2_normalized_many, pattern_quality, scale
 
 
 def test_contingency_examples():
-    t = contingency([1, 1, 0, 0], ["A", "A", "B", "B"])
-    assert t.classes == ("A", "B")
-    assert t.present.tolist() == [2, 0]
-    assert t.absent.tolist() == [0, 2]
-
-    t = contingency([1, 1, 1, 1], ["A", "A", "B", "B"])
-    assert t.present.tolist() == [2, 2]
-    assert t.absent.tolist() == [0, 0]
-
-    t = contingency([1, 0, 1, 0], ["A", "A", "B", "B"])
-    assert t.present.tolist() == [1, 1]
-    assert t.absent.tolist() == [1, 1]
+    labels = ["A", "A", "B", "B"]
+    presences = [[1, 1, 0, 0], [1, 1, 1, 1], [1, 0, 1, 0]]
+    # per-class present counts of the three vectors
+    many = chi2_normalized_many(np.array([[2, 0], [2, 2], [1, 1]]), np.array([2, 2]))
+    assert many.tolist() == [1.0, 0.0, 0.0]
+    assert [pattern_quality(p, labels) for p in presences] == many.tolist()
 
 
 def test_contingency_mismatch():
     with pytest.raises(ValueError):
-        contingency([1, 0], ["A", "B", "B"])
+        pattern_quality([1, 0], ["A", "B", "B"])
 
 
 def test_chi2_perfect_split_equals_n():
-    t = contingency([1, 1, 0, 0], ["A", "A", "B", "B"])
-    assert chi2(t) == pytest.approx(4.0, abs=1e-12)
-    assert normalize(chi2(t), t.n) == pytest.approx(1.0, abs=1e-12)
+    q = pattern_quality([1, 1, 0, 0], ["A", "A", "B", "B"])
+    assert q * 4 == pytest.approx(4.0, abs=1e-12)
+    assert q == pytest.approx(1.0, abs=1e-12)
 
 
 def test_chi2_uninformative_pattern_is_zero():
-    everywhere = contingency([1, 1, 1, 1], ["A", "A", "B", "B"])
-    nowhere = contingency([0, 0, 0, 0], ["A", "A", "B", "B"])
-    assert chi2(everywhere) == 0.0
-    assert chi2(nowhere) == 0.0
+    labels = ["A", "A", "B", "B"]
+    assert pattern_quality([1, 1, 1, 1], labels) == 0.0
+    assert pattern_quality([0, 0, 0, 0], labels) == 0.0
 
 
 def test_chi2_14_14_worked_example():
@@ -68,9 +53,9 @@ def test_all_of_one_class_pattern_is_exactly_one():
 
 
 @given(
-    st.lists(st.sampled_from(["A", "B", "C"]), min_size=4, max_size=40).filter(
-        lambda ls: len(set(ls)) >= 2
-    ),
+    st.integers(2, 6)
+    .flatmap(lambda c: st.lists(st.sampled_from("ABCDEF"[:c]), min_size=4, max_size=40))
+    .filter(lambda ls: len(set(ls)) >= 2),
     st.data(),
 )
 @settings(max_examples=200, deadline=None)
@@ -78,16 +63,21 @@ def test_chi2_matches_scipy_oracle(labels, data):
     presence = np.array(
         data.draw(st.lists(st.booleans(), min_size=len(labels), max_size=len(labels)))
     )
-    table = contingency(presence, labels)
-    ours = chi2(table)
-    obs = np.column_stack([table.present, table.absent])
-    if obs.sum(axis=0).min() == 0 or len(labels) < 2:
+    classes = sorted(set(labels))
+    class_of = np.array([classes.index(c) for c in labels])
+    sizes = np.bincount(class_of)
+    present = np.bincount(class_of[presence], minlength=len(classes))
+    q = chi2_normalized_many(present[None, :], sizes)[0]
+    assert pattern_quality(presence, labels) == q
+    assert 0.0 <= q <= 1.0
+    ours = q * len(labels)
+    obs = np.column_stack([present, sizes - present])
+    if obs.sum(axis=0).min() == 0:
         # degenerate column: scipy refuses, ours returns 0 by convention
         assert ours == 0.0
         return
     ref = chi2_contingency(obs, correction=False).statistic
     assert ours == pytest.approx(ref, abs=1e-9)
-    assert 0.0 <= normalize(ours, table.n) <= 1.0
 
 
 @given(
@@ -114,11 +104,13 @@ def test_chi2_invariant_under_label_renaming():
 
 
 def test_normalize_examples_and_clamp():
-    assert normalize(4.0, 4) == 1.0
-    assert normalize(0.0, 9) == 0.0
-    assert normalize(4.0 * (1 + 1e-13), 4) == 1.0
+    # raw statistic 4 over 4 instances, and 0 over 9
+    assert chi2_normalized_many(np.array([[2, 0]]), np.array([2, 2]))[0] == 1.0
+    assert chi2_normalized_many(np.array([[1, 2]]), np.array([3, 6]))[0] == 0.0
+    # this perfect split sums to 1 + 2**-52 before the clamp
+    assert chi2_normalized_many(np.array([[1, 0]]), np.array([1, 2]))[0] == 1.0
     with pytest.raises(ValueError):
-        normalize(1.0, 0)
+        chi2_normalized_many(np.array([[0, 0]]), np.array([0, 0]))
 
 
 def test_scale_examples():
@@ -165,25 +157,38 @@ def test_scale_preserves_ordering(qs, tau):
         assert int(np.argmax(scaled)) == best
 
 
-def test_vectorized_scores_match_scalar_route():
-    rng = np.random.default_rng(3)
-    labels = ["A"] * 7 + ["B"] * 5 + ["C"] * 8
-    class_sizes = np.array([7, 5, 8])
-    presence = rng.random((40, 20)) < 0.4
-    present_counts = np.stack(
-        [
-            [row[:7].sum(), row[7:12].sum(), row[12:].sum()]
-            for row in presence
-        ]
-    )
-    fast = chi2_normalized_many(present_counts, class_sizes)
-    slow = np.array([pattern_quality(row, labels) for row in presence])
+def _stacked_reference(present, class_sizes):
+    """The earlier (P, C, 2) formulation of chi2_normalized_many."""
+    present = np.asarray(present, dtype=np.float64)
+    sizes = np.asarray(class_sizes, dtype=np.float64)
+    n = sizes.sum()
+    obs = np.stack([present, sizes[None, :] - present], axis=2)
+    total_present = present.sum(axis=1)
+    cols = np.stack([total_present, n - total_present], axis=1)
+    expected = sizes[None, :, None] * cols[:, None, :] / n
+    with np.errstate(divide="ignore", invalid="ignore"):
+        stat = ((obs - expected) ** 2 / expected).sum(axis=(1, 2))
+    degenerate = (cols[:, 0] == 0) | (cols[:, 1] == 0)
+    return np.clip(np.where(degenerate, 0.0, stat / n), 0.0, 1.0)
+
+
+def test_column_scores_match_stacked_reference():
     # Bitwise equality, not closeness: the acceptance threshold s_min is an
-    # exact comparison, so the two routes must agree on boundary scores.
-    assert (fast == slow).all()
+    # exact comparison, so a score on a threshold must not move by one bit.
+    rng = np.random.default_rng(3)
+    for class_sizes in ([7, 5], [40, 40], [1, 29], [7, 5, 8], [3, 30, 11]):
+        sizes = np.array(class_sizes)
+        present = np.stack([rng.integers(0, s + 1, 500) for s in sizes], axis=1)
+        present[0] = sizes  # present in every instance
+        present[1] = 0  # present in none
+        columns = chi2_normalized_many(present, sizes)
+        assert columns[0] == columns[1] == 0.0
+        assert columns.tobytes() == _stacked_reference(present, sizes).tobytes()
 
 
 def test_contingency_table_invariants():
-    t = ContingencyTable(("A", "B"), np.array([3, 1]), np.array([2, 4]))
-    assert t.n == 10
-    assert t.class_sizes.tolist() == [5, 5]
+    # present [3, 1] and absent [2, 4]: class sizes [5, 5], n = 10,
+    # expected present [2, 2] and absent [3, 3], raw statistic 5/3
+    q = chi2_normalized_many(np.array([[3, 1]]), np.array([5, 5]))[0]
+    assert q * 10 == pytest.approx(5 / 3, abs=1e-12)
+    assert pattern_quality([1, 1, 1, 0, 0, 1, 0, 0, 0, 0], ["A"] * 5 + ["B"] * 5) == q
