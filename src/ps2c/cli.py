@@ -2,14 +2,16 @@
 
 Exit codes: 0 success, 1 usage/I-O/parse errors, 2 when no grid cell
 has a pattern to sample (the message counts the skip reasons).
-Machine-readable JSON goes to stdout, human summaries to stderr, file
-artifacts under --out.
+Machine-readable JSON goes to stdout, human summaries and the
+package's logged warnings to stderr (``--quiet`` keeps only errors),
+file artifacts under --out.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import logging
 import os
 import sys
 import time
@@ -41,6 +43,33 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
+
+
+class _StderrHandler(logging.StreamHandler):
+    """Writes to ``sys.stderr`` as it is at each record, not at set-up."""
+
+    def __init__(self):
+        logging.Handler.__init__(self)
+
+    @property
+    def stream(self):
+        return sys.stderr
+
+
+def _configure_logging(quiet: bool) -> None:
+    """Route the ``ps2c`` loggers to stderr: warnings, or only errors when quiet.
+
+    Idempotent, so repeated in-process ``main()`` calls keep one handler
+    and print each record once. Records still propagate to the root
+    logger's handlers, if any are set.
+    """
+    package = logging.getLogger("ps2c")
+    handler = next((h for h in package.handlers if isinstance(h, _StderrHandler)), None)
+    if handler is None:
+        handler = _StderrHandler()
+        handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+        package.addHandler(handler)
+    handler.setLevel(logging.ERROR if quiet else logging.WARNING)
 
 
 def _int_list(text: str) -> list[int]:
@@ -241,9 +270,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Pattern-sampled shapelet classification over symbolic grids.",
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--quiet", action="store_true",
+                        help="print no logged warnings, only errors")
 
     p_run = sub.add_parser(
         "run",
+        parents=[common],
         help="run the full pipeline on a train/test pair",
         formatter_class=argparse.ArgumentDefaultsHelpFormatter,
     )
@@ -261,6 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_disc = sub.add_parser(
         "discretize",
+        parents=[common],
         help="print one symbolic string per instance",
         formatter_class=argparse.ArgumentDefaultsHelpFormatter,
     )
@@ -271,6 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_trie = sub.add_parser(
         "trie-dump",
+        parents=[common],
         help="fit one grid cell's sampler and print the weighted trie",
         formatter_class=argparse.ArgumentDefaultsHelpFormatter,
     )
@@ -284,6 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser(
         "bench",
+        parents=[common],
         help="time fit+transform on planted synthetic datasets",
         formatter_class=argparse.ArgumentDefaultsHelpFormatter,
     )
@@ -301,6 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    _configure_logging(args.quiet)
     return args.func(args)
 
 

@@ -7,7 +7,7 @@ resampling of train/test splits.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -49,10 +49,19 @@ class LabeledDataset:
 
     Instances may have different lengths; each series is consumed at its
     own length downstream. Safe for concurrent read access.
+
+    Arrays that every grid cell derives from the same split (PAA values
+    per omega, the distance kernel's padded rows and spectra) are
+    memoised on the dataset by :meth:`shared`, so they live as long as
+    the split does. The memo takes no part in ``==``, ``hash`` or
+    ``repr``, and every dataset, including those made by ``subset``,
+    ``znormalize_dataset`` and ``resample_split``, starts with an empty
+    one.
     """
 
     series: tuple[np.ndarray, ...]
     labels: tuple[str, ...]
+    _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "series", tuple(_as_series(s) for s in self.series))
@@ -84,6 +93,19 @@ class LabeledDataset:
 
     def class_counts(self) -> dict[str, int]:
         return dict(Counter(self.labels))
+
+    def shared(self, key, build):
+        """The memoised value of ``build()`` under ``key``.
+
+        Values hold read-only arrays derived from the series alone. Two
+        threads asking for a missing key at once may both call
+        ``build``; the results are identical and the first one stored is
+        returned to both.
+        """
+        try:
+            return self._memo[key]
+        except KeyError:
+            return self._memo.setdefault(key, build())
 
     def subset(self, indices) -> "LabeledDataset":
         return LabeledDataset(

@@ -5,6 +5,10 @@ omega into p = round(n / omega) values (round half away from zero,
 trailing remainder folded into the last window), then each value is
 binned by equal-probability N(0,1) breakpoints into one of alpha
 symbols rendered as lowercase letters.
+
+PAA has one implementation, batched over series; ``paa`` is its
+one-series case. ``discretize`` memoises a split's PAA values per omega
+on the dataset, so the alphabets of one omega share them.
 """
 
 from __future__ import annotations
@@ -76,22 +80,44 @@ def paa(series, omega: int) -> np.ndarray:
 
     The output has p = round(n / omega) values. The final window covers
     everything from (p-1)*omega to the end of the series, so it may be
-    shorter or longer than omega; no observation is dropped.
+    shorter or longer than omega; no observation is dropped. This is
+    the one-series case of the batched PAA behind :func:`discretize`.
+    """
+    return _paa_many([np.asarray(series, dtype=np.float64)], omega)[0]
+
+
+def _paa_many(series_list, omega: int) -> tuple[np.ndarray, np.ndarray]:
+    """PAA of every series, concatenated, with each series' value count.
+
+    Every window of exactly omega observations comes from one gather
+    into a (windows, omega) array and one row mean. A final window of
+    any other size is averaged per series with the same 1-D ``mean``
+    as before, so every value keeps its pairwise-sum bits.
     """
     if omega < 1:
         raise ValueError(f"omega must be >= 1, got {omega}")
-    values = np.asarray(series, dtype=np.float64)
-    n = values.size
-    if n < omega:
-        raise ValueError(f"series length {n} is shorter than omega {omega}")
-    p = paa_length(n, omega)
-    if p * omega == n:
-        return values.reshape(p, omega).mean(axis=1)
-    out = np.empty(p)
-    if p > 1:
-        out[: p - 1] = values[: (p - 1) * omega].reshape(p - 1, omega).mean(axis=1)
-    out[p - 1] = values[(p - 1) * omega :].mean()
-    return out
+    lengths = np.array([x.size for x in series_list], dtype=np.int64)
+    too_short = np.flatnonzero(lengths < omega)
+    if too_short.size:
+        raise ValueError(
+            f"series length {lengths[too_short[0]]} is shorter than omega {omega}"
+        )
+    sizes = (2 * lengths + omega) // (2 * omega)  # paa_length, per series
+    tails = np.flatnonzero(sizes * omega != lengths)
+    full = sizes.copy()
+    full[tails] -= 1  # windows of exactly omega observations
+    out_starts = np.cumsum(sizes) - sizes
+    window_series = np.repeat(np.arange(lengths.size), full)
+    window_rank = np.arange(window_series.size) - np.repeat(np.cumsum(full) - full, full)
+    starts = (np.cumsum(lengths) - lengths)[window_series] + window_rank * omega
+    flat = np.concatenate(series_list)
+    out = np.empty(int(sizes.sum()))
+    out[out_starts[window_series] + window_rank] = flat[
+        starts[:, None] + np.arange(omega)
+    ].mean(axis=1)
+    for i in tails:
+        out[out_starts[i] + full[i]] = series_list[i][full[i] * omega :].mean()
+    return out, sizes
 
 
 def _symbolize(paa_values: np.ndarray, alpha: int) -> np.ndarray:
@@ -136,11 +162,22 @@ def discretize(dataset: LabeledDataset, params: SaxParams) -> DiscretizedDataset
     """SAX-discretize every instance of ``dataset`` at one resolution.
 
     The dataset is expected to be z-normalised already (the breakpoints
-    assume standardized data).
+    assume standardized data). The PAA values of one omega are computed
+    once per dataset and shared by every alpha; each call symbolises
+    them with one ``searchsorted``.
     """
-    return DiscretizedDataset(
-        params, tuple(sax(s, params) for s in dataset.series)
-    )
+    omega = params.omega
+    values, sizes = dataset.shared(("paa", omega), lambda: _shared_paa(dataset.series, omega))
+    codes = _symbolize(values, params.alpha)
+    ends = np.cumsum(sizes).tolist()
+    return DiscretizedDataset(params, tuple(codes[s:e] for s, e in zip([0, *ends], ends)))
+
+
+def _shared_paa(series_list, omega: int) -> tuple[np.ndarray, np.ndarray]:
+    values, sizes = _paa_many(series_list, omega)
+    values.flags.writeable = False
+    sizes.flags.writeable = False
+    return values, sizes
 
 
 def dump_text(discretized: DiscretizedDataset, labels) -> str:

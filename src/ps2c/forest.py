@@ -3,6 +3,8 @@
 Self-contained (no learning-library dependency) so pipeline results are
 fully reproducible from the seed alone: per-tree bootstrap, Gini
 splits over sqrt(k) feature subsets, unlimited depth, majority vote.
+Each node searches its feature subset in one batched pass (see
+``_best_split``) that picks the same split as a loop over features.
 """
 
 from __future__ import annotations
@@ -25,6 +27,11 @@ class _Node:
         self.value = value
 
 
+# Most float64 elements in one (n, features, classes) block of the split
+# search; nodes with more are searched a few features at a time.
+_BLOCK_ELEMENTS = 1 << 16
+
+
 def _grow(X: np.ndarray, y: np.ndarray, rng: np.random.Generator, m: int, n_classes: int) -> _Node:
     counts = np.bincount(y, minlength=n_classes)
     node = _Node(int(counts.argmax()))
@@ -34,44 +41,61 @@ def _grow(X: np.ndarray, y: np.ndarray, rng: np.random.Generator, m: int, n_clas
 
     k = X.shape[1]
     features = rng.choice(k, size=min(m, k), replace=False)
+    feature, threshold = _best_split(X, y, features, counts)
+    if feature < 0:
+        return node
+
+    node.feature = feature
+    node.threshold = threshold
+    mask = X[:, feature] <= threshold
+    node.left = _grow(X[mask], y[mask], rng, m, n_classes)
+    node.right = _grow(X[~mask], y[~mask], rng, m, n_classes)
+    return node
+
+
+def _best_split(X: np.ndarray, y: np.ndarray, features: np.ndarray, counts: np.ndarray) -> tuple[int, float]:
+    """The (feature, threshold) of least weighted Gini, or (-1, 0.0) if none splits.
+
+    All candidate features are searched together: one stable sort of the
+    (n, features) block, one cumulative sum of the one-hot labels into
+    (n, features, classes), and the Gini of every boundary. Boundaries
+    between equal values score +inf. The first minimum per feature, then
+    the first feature holding the least of them, is the split a strict
+    ``<`` over features and then cuts picks. Features are taken
+    ``_BLOCK_ELEMENTS`` at a time so large nodes stay within memory.
+    """
+    n, n_classes = y.size, counts.size
+    onehot = np.eye(n_classes)[y]
+    totals = counts.astype(np.float64)
+    nl = np.arange(1.0, n)[:, None]  # left-side sizes of the n-1 boundaries
+    nr = n - nl
     best_score = np.inf
     best_feature = -1
     best_threshold = 0.0
-    onehot = np.eye(n_classes)[y]
-    totals = counts.astype(np.float64)
-    for f in features:
-        col = X[:, f]
-        order = np.argsort(col, kind="stable")
-        xs = col[order]
-        if xs[0] == xs[-1]:
-            continue
-        cum = np.cumsum(onehot[order], axis=0)
-        cuts = np.nonzero(xs[1:] > xs[:-1])[0] + 1  # left-side sizes
-        left = cum[cuts - 1]
+    block = max(1, _BLOCK_ELEMENTS // (n * n_classes))
+    for first in range(0, features.size, block):
+        chosen = features[first : first + block]
+        cols = X[:, chosen]
+        order = np.argsort(cols, axis=0, kind="stable")
+        xs = np.take_along_axis(cols, order, axis=0)
+        left = np.cumsum(onehot[order], axis=0)[:-1]
         right = totals - left
-        nl = cuts.astype(np.float64)
-        nr = n - nl
-        gini_left = 1.0 - ((left / nl[:, None]) ** 2).sum(axis=1)
-        gini_right = 1.0 - ((right / nr[:, None]) ** 2).sum(axis=1)
+        gini_left = 1.0 - ((left / nl[:, :, None]) ** 2).sum(axis=2)
+        gini_right = 1.0 - ((right / nr[:, :, None]) ** 2).sum(axis=2)
         weighted = (nl * gini_left + nr * gini_right) / n
-        j = int(np.argmin(weighted))
-        if weighted[j] < best_score:
-            best_score = float(weighted[j])
-            best_feature = int(f)
-            lo, hi = xs[cuts[j] - 1], xs[cuts[j]]
+        weighted[~(xs[1:] > xs[:-1])] = np.inf  # no cut between equal values
+        cut = weighted.argmin(axis=0)
+        scores = weighted[cut, np.arange(chosen.size)]
+        f = int(scores.argmin())
+        if scores[f] < best_score:
+            best_score = float(scores[f])
+            best_feature = int(chosen[f])
+            lo, hi = xs[cut[f], f], xs[cut[f] + 1, f]
             threshold = 0.5 * (lo + hi)
             if threshold >= hi:  # midpoint collapsed onto the upper value
                 threshold = lo
             best_threshold = float(threshold)
-    if best_feature < 0:
-        return node
-
-    node.feature = best_feature
-    node.threshold = best_threshold
-    mask = X[:, best_feature] <= best_threshold
-    node.left = _grow(X[mask], y[mask], rng, m, n_classes)
-    node.right = _grow(X[~mask], y[~mask], rng, m, n_classes)
-    return node
+    return best_feature, best_threshold
 
 
 def _predict_tree(node: _Node, X: np.ndarray, idx: np.ndarray, out: np.ndarray) -> None:

@@ -18,8 +18,8 @@ rank, each group already in (instance, offset) order, so the sort
 mostly merges runs that are in order and no rank is scattered back.
 A pattern's text is sliced from its first occurrence; queries by text
 binary-search the sorted rows. Scoring reads a length's table as one
-(patterns, classes) array of presence counts and works on it one class
-column at a time.
+(patterns, classes) array of presence counts, derived from the CSR
+presence pairs, and works on it one class column at a time.
 """
 
 from __future__ import annotations
@@ -40,12 +40,12 @@ class _LengthTable:
 
     Rows are sorted lexicographically. The (pattern, instance) presence
     pairs form a CSR layout: row r owns
-    pair_instance[pair_starts[r]:pair_starts[r+1]].
+    pair_instance[pair_starts[r]:pair_starts[r+1]]. No per-pair row
+    array is stored; ``presence_counts`` expands it from pair_starts.
     """
 
     first_instance: np.ndarray
     first_offset: np.ndarray
-    pair_pattern: np.ndarray
     pair_instance: np.ndarray
     pair_starts: np.ndarray
 
@@ -118,13 +118,12 @@ class PatternIndex:
             rank = np.cumsum(new_pattern) - 1
 
             first_instance = inst[new_pattern]
-            pair_pattern = rank[new_pair]
+            pair_instance = inst[new_pair]
             tables[length] = _LengthTable(
                 first_instance,
                 pos[new_pattern] - starts[first_instance],
-                pair_pattern,
-                inst[new_pair],
-                np.append(np.flatnonzero(new_pattern[new_pair]), pair_pattern.size),
+                pair_instance,
+                np.append(np.flatnonzero(new_pattern[new_pair]), pair_instance.size),
             )
         return cls(discretized, l_max, tables)
 
@@ -170,9 +169,10 @@ class PatternIndex:
     def presence_counts(self, length: int, class_of: np.ndarray, n_classes: int) -> np.ndarray:
         """(n_patterns, n_classes) per-class presence counts for one length."""
         table = self._tables[length]
-        labels = class_of[table.pair_instance]
+        starts = table.pair_starts
+        pair_pattern = np.repeat(np.arange(table.n_patterns), starts[1:] - starts[:-1])
         flat = np.bincount(
-            table.pair_pattern * n_classes + labels,
+            pair_pattern * n_classes + class_of[table.pair_instance],
             minlength=table.n_patterns * n_classes,
         )
         return flat.reshape(table.n_patterns, n_classes)

@@ -13,13 +13,17 @@ One kernel computes every distance, for any mix of series lengths: the
 series are zero-padded to the longest, searched with FFT sliding dot
 products, offsets that would run past a series' end are masked, and the
 best alignment is re-evaluated exactly. A shapelet longer than a series
-falls back to the single head alignment inside the same call.
+falls back to the single head alignment inside the same call. The
+series side of the kernel (padded rows, prefix sums of squares, rfft
+spectra) is built once per split and memoised on its dataset, so every
+grid cell's call transforms only its own shapelets.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -132,13 +136,50 @@ def min_distance(series, shapelet) -> float:
     the shapelet's head, and the degenerate case is logged. This is the
     one-cell case of the batched kernel behind the feature matrices.
     """
-    return float(_distance_matrix([np.asarray(series, dtype=np.float64)], [shapelet])[0, 0])
+    padded = _PaddedRows.of([np.asarray(series, dtype=np.float64)])
+    return float(_distance_matrix(padded, [shapelet])[0, 0])
 
 
-def _distance_matrix(series_list, shapelets) -> np.ndarray:
+class _PaddedRows(NamedTuple):
+    """The series side of the distance kernel, shared by every shapelet.
+
+    ``stacked`` holds the series zero-padded to n_max, ``csum`` the
+    prefix sums of their squares, ``spectra`` their rfft at the
+    power-of-two length ``fft_len`` >= n_max. All arrays are read-only.
+    """
+
+    lengths: np.ndarray
+    stacked: np.ndarray
+    csum: np.ndarray
+    spectra: np.ndarray
+    fft_len: int
+
+    @classmethod
+    def of(cls, series_list) -> "_PaddedRows":
+        lengths = np.array([x.size for x in series_list])
+        n_max = int(lengths.max())
+        stacked = np.zeros((lengths.size, n_max))
+        for i, x in enumerate(series_list):
+            stacked[i, : x.size] = x
+        csum = np.zeros((lengths.size, n_max + 1))
+        np.cumsum(stacked * stacked, axis=1, out=csum[:, 1:])
+        fft_len = 1 << (n_max - 1).bit_length()
+        spectra = np.fft.rfft(stacked, fft_len, axis=1)
+        for array in (lengths, stacked, csum, spectra):
+            array.flags.writeable = False
+        return cls(lengths, stacked, csum, spectra, fft_len)
+
+
+def _shared_rows(dataset: LabeledDataset) -> _PaddedRows:
+    """The dataset's padded rows, built on first use and memoised on it."""
+    return dataset.shared("padded_rows", lambda: _PaddedRows.of(dataset.series))
+
+
+def _distance_matrix(padded: _PaddedRows, shapelets) -> np.ndarray:
     """N x k matrix of ``min_distance`` over series of any mix of lengths.
 
-    The series are zero-padded into one N x n_max array. Prefix sums of
+    The series are zero-padded into one N x n_max array (``padded``,
+    built once per split and shared by every grid cell). Prefix sums of
     squares give every window's energy in O(1), and FFT sliding dot
     products make the alignment search O(N n log n) per shapelet instead
     of O(N n s). With a transform length L >= n_max the circular
@@ -156,16 +197,9 @@ def _distance_matrix(series_list, shapelets) -> np.ndarray:
     than that tie (a constant row ties on every offset), the result is
     within round-off of the minimum.
     """
-    lengths = np.array([x.size for x in series_list])
-    n_max = int(lengths.max())
+    lengths, stacked, csum, spectra, fft_len = padded
+    n_max = stacked.shape[1]
     ragged = int(lengths.min()) != n_max
-    stacked = np.zeros((lengths.size, n_max))
-    for i, x in enumerate(series_list):
-        stacked[i, : x.size] = x
-    csum = np.zeros((lengths.size, n_max + 1))
-    np.cumsum(stacked * stacked, axis=1, out=csum[:, 1:])
-    fft_len = 1 << (n_max - 1).bit_length()
-    spectra = np.fft.rfft(stacked, fft_len, axis=1)
     # Buffers shared by every shapelet: the loop below allocates no
     # N x fft_len array of its own.
     product = np.empty_like(spectra)
@@ -256,6 +290,6 @@ def create_feature_sets(
     shapelets = [
         reverse_lookup(p, real_train, discretized_train, index) for p in chosen
     ]
-    train = FeatureMatrix(_distance_matrix(real_train.series, shapelets), shapelets)
-    test = FeatureMatrix(_distance_matrix(real_test.series, shapelets), list(shapelets))
+    train = FeatureMatrix(_distance_matrix(_shared_rows(real_train), shapelets), shapelets)
+    test = FeatureMatrix(_distance_matrix(_shared_rows(real_test), shapelets), list(shapelets))
     return train, test

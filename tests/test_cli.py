@@ -287,6 +287,25 @@ def test_bench_logs_skipped_cells(capsys, caplog, monkeypatch):
     assert records == ["skipping cell alpha=9 omega=7: for the test"]
 
 
+def test_warnings_print_once_per_call_and_quiet_prints_none(capsys, monkeypatch):
+    def skipping_fit_transform(*args, **kwargs):
+        merged = fit_transform(*args, **kwargs)
+        return dataclasses.replace(merged, skipped=(SkippedCell(9, 7, "for the test"),))
+
+    monkeypatch.setattr(cli, "fit_transform", skipping_fit_transform)
+    argv = ["bench", "--sizes", "8", "--lengths", "32", "--seed", "1"]
+    for _ in range(2):  # repeated in-process calls must not stack handlers
+        code, _, stderr = _run(capsys, argv)
+        assert code == 0
+        lines = [line for line in stderr.splitlines() if "skipping cell" in line]
+        assert lines == ["WARNING ps2c.pipeline: skipping cell alpha=9 omega=7: for the test"]
+    code, _, stderr = _run(capsys, argv + ["--quiet"])
+    assert code == 0
+    assert "skipping cell" not in stderr
+    code, _, stderr = _run(capsys, ["bench", "--sizes", "8", "--lengths", "4", "--quiet"])
+    assert code == 1 and "motif length 16, got 4" in stderr  # errors still print
+
+
 def test_bench_length_below_motif_exit_1(capsys):
     code, _, stderr = _run(capsys, ["bench", "--sizes", "8", "--lengths", "4"])
     assert code == 1

@@ -1,3 +1,9 @@
+import copy
+import dataclasses
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -227,3 +233,60 @@ def test_resample_pool_too_small():
     ds = LabeledDataset((np.zeros(4), np.ones(4)), ("1", "2"))
     with pytest.raises(ValueError, match="at least 4"):
         resample_split(ds, ds.subset([0]), 1)
+
+
+def test_memo_takes_no_part_in_eq_hash_or_repr():
+    ds = LabeledDataset((np.arange(4.0), np.arange(3.0)), ("a", "b"))
+    twin = copy.copy(ds)
+    object.__setattr__(twin, "_memo", {})
+    before = repr(ds)
+    calls = []
+    value = ds.shared("key", lambda: calls.append(1) or np.arange(3))
+    assert ds.shared("key", lambda: calls.append(1) or np.arange(3)) is value
+    assert calls == [1]
+    assert repr(ds) == before and "_memo" not in before
+    assert ds == twin and twin._memo == {}
+    # eq and the generated hash read the compared fields only
+    assert [f.name for f in dataclasses.fields(ds) if f.compare] == ["series", "labels"]
+    assert [f.name for f in dataclasses.fields(ds) if f.init] == ["series", "labels"]
+
+
+def test_derived_datasets_start_with_an_empty_memo():
+    train = LabeledDataset(tuple(np.arange(6.0) + i for i in range(4)), ("a", "b", "a", "b"))
+    test = LabeledDataset(tuple(np.arange(5.0) * i for i in range(4)), ("a", "b", "b", "a"))
+    for ds in (train, test):
+        ds.shared("key", lambda: np.zeros(2))
+    split = resample_split(train, test, 3)
+    derived = [train.subset([0, 2]), znormalize_dataset(train), split.train, split.test]
+    assert all(ds._memo == {} for ds in derived)
+    assert resample_split(train, test, 0).train is train  # seed 0 keeps the split, memo included
+
+
+def test_concurrent_first_access_returns_one_stored_value():
+    # more threads than cores race on a missing key; each may build, but
+    # all must get the one value stored first, and the memo holds one entry
+    ds = LabeledDataset((np.arange(4.0), np.arange(3.0)), ("a", "b"))
+    barrier = threading.Barrier(8)
+    got = [None] * 8
+
+    def build():
+        time.sleep(0.002)
+        return np.arange(5.0)
+
+    def worker(i):
+        barrier.wait(timeout=10)
+        got[i] = ds.shared("key", build)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(g is ds._memo["key"] for g in got)
+    assert list(ds._memo) == ["key"]

@@ -1,13 +1,16 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ps2c import discretizer
 from ps2c.dataset import LabeledDataset, znormalize
 from ps2c.discretizer import (
     SaxParams,
+    _paa_many,
     compute_breakpoints,
     discretize,
     dump_text,
@@ -99,8 +102,74 @@ def test_paa_single_segment():
 
 
 def test_paa_rejects_short_series():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="series length 2 is shorter than omega 3"):
         paa([1.0, 2.0], 3)
+    ds = LabeledDataset((np.arange(5.0), np.arange(2.0)), ("x", "y"))
+    with pytest.raises(ValueError, match="series length 2 is shorter than omega 3"):
+        discretize(ds, SaxParams(4, 3))
+
+
+def _paa_reference(series, omega):
+    # PAA one series at a time, as it was before the batched PAA
+    values = np.asarray(series, dtype=np.float64)
+    n = values.size
+    p = paa_length(n, omega)
+    if p * omega == n:
+        return values.reshape(p, omega).mean(axis=1)
+    out = np.empty(p)
+    if p > 1:
+        out[: p - 1] = values[: (p - 1) * omega].reshape(p - 1, omega).mean(axis=1)
+    out[p - 1] = values[(p - 1) * omega :].mean()
+    return out
+
+
+@pytest.mark.parametrize("omega", range(1, 11))
+def test_paa_matches_reference_bitwise_at_every_length(omega):
+    # every length from omega to 40, so every round-half length (2n/omega
+    # odd) and both short and long final windows; omega >= 8 sums pairwise
+    rng = np.random.default_rng(omega)
+    for n in range(omega, 41):
+        x = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3)
+        assert paa(x, omega).tobytes() == _paa_reference(x, omega).tobytes()
+
+
+@given(
+    st.lists(
+        st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=40), min_size=1, max_size=8
+    ),
+    st.integers(1, 7),
+)
+@settings(max_examples=150, deadline=None)
+def test_batched_paa_and_discretize_match_per_series(rows, omega):
+    series = [np.array(r) for r in rows if len(r) >= omega]
+    if not series:
+        return
+    values, sizes = _paa_many(series, omega)
+    assert sizes.tolist() == [paa_length(x.size, omega) for x in series]
+    for x, part in zip(series, np.split(values, np.cumsum(sizes)[:-1])):
+        assert part.tobytes() == _paa_reference(x, omega).tobytes()
+
+    series = [x for x in series if x.size >= 2]
+    if not series:
+        return
+    ds = LabeledDataset(tuple(series), tuple("ab"[i % 2] for i in range(len(series))))
+    for alpha in (2, 5, 26):
+        params = SaxParams(alpha, omega)
+        codes = discretize(ds, params).codes
+        for x, c in zip(series, codes):
+            assert c.tobytes() == sax(x, params).tobytes()
+            expected = np.searchsorted(compute_breakpoints(alpha), _paa_reference(x, omega), side="right")
+            assert c.tobytes() == expected.astype(np.uint8).tobytes()
+
+
+def test_discretize_shares_paa_across_alphas():
+    rng = np.random.default_rng(2)
+    ds = LabeledDataset(tuple(rng.normal(size=n) for n in (30, 41, 37)), ("x", "y", "x"))
+    with mock.patch.object(discretizer, "_paa_many", wraps=_paa_many) as spy:
+        for alpha in (2, 3, 8):
+            for omega in (2, 3):
+                discretize(ds, SaxParams(alpha, omega))
+    assert [call.args[1] for call in spy.call_args_list] == [2, 3]
 
 
 def test_sax_constant_zero_is_all_c():

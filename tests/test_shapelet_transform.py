@@ -13,7 +13,9 @@ from ps2c.sampler_trie import SamplerTrie
 from ps2c.shapelet_transform import (
     FeatureMatrix,
     Shapelet,
+    _PaddedRows,
     _distance_matrix,
+    _shared_rows,
     create_feature_sets,
     min_distance,
     reverse_lookup,
@@ -154,7 +156,7 @@ def test_distance_matrix_matches_oracle_on_mixed_lengths(rows, data):
     stop = data.draw(st.integers(start + 1, series[i].size))
     shapelets.append(_shapelet(series[i][start:stop]))
 
-    out = _distance_matrix(series, shapelets)
+    out = _distance_matrix(_PaddedRows.of(series), shapelets)
     assert out.shape == (len(series), len(shapelets))
     for r, x in enumerate(series):
         for c, sh in enumerate(shapelets):
@@ -169,7 +171,7 @@ def test_long_shapelet_warns_once_per_call(caplog):
     series = [rng.normal(size=n) for n in (5, 12, 6, 15, 7)]
     sh = _shapelet(rng.normal(size=10))
     with caplog.at_level("WARNING"):
-        out = _distance_matrix(series, [sh])
+        out = _distance_matrix(_PaddedRows.of(series), [sh])
     records = [r for r in caplog.records if "exceeds series length" in r.message]
     assert len(records) == 1
     assert "length 10" in records[0].message and "3 of 5 series" in records[0].message
@@ -184,7 +186,7 @@ def test_constant_rows_keep_the_recheck_small():
     shapelets = [_shapelet(series[5][100 : 100 + s]) for s in (50, 300, 600)]
     tracemalloc.start()
     try:
-        out = _distance_matrix(series, shapelets)
+        out = _distance_matrix(_PaddedRows.of(series), shapelets)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -305,3 +307,26 @@ def test_variable_length_series_supported():
     ftr, fte = create_feature_sets(train, test, d, index, trie, 3, np.random.default_rng(2))
     assert ftr.values.shape[0] == 4 and fte.values.shape[0] == 2
     assert np.all(np.isfinite(ftr.values)) and np.all(np.isfinite(fte.values))
+
+
+def test_shared_rows_match_the_per_call_path_bitwise():
+    # train and test of different maximum lengths each keep their own
+    # padded rows; kernel calls read them and never write
+    rng = np.random.default_rng(8)
+    train = LabeledDataset(tuple(rng.normal(size=n) for n in (30, 24, 30, 17)), ("a", "b", "a", "b"))
+    test = LabeledDataset(tuple(rng.normal(size=n) for n in (45, 12, 33)), ("a", "b", "a"))
+    shapelets = [_shapelet(rng.normal(size=s)) for s in (3, 16, 31)]
+    shapelets.append(_shapelet(train.series[1][4:14]))
+    expected = {
+        "train": _distance_matrix(_PaddedRows.of(train.series), shapelets),
+        "test": _distance_matrix(_PaddedRows.of(test.series), shapelets),
+    }
+    for _ in range(2):
+        for name, ds in (("train", train), ("test", test)):
+            padded = _shared_rows(ds)
+            assert padded is _shared_rows(ds)
+            assert not any(a.flags.writeable for a in padded[:4])
+            out = _distance_matrix(padded, shapelets)
+            assert out.tobytes() == expected[name].tobytes()
+    assert _shared_rows(train).stacked.shape == (4, 30)
+    assert _shared_rows(test).stacked.shape == (3, 45)
