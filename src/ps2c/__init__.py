@@ -46,7 +46,6 @@ from .shapelet_transform import (
     Shapelet,
     create_feature_sets,
     min_distance,
-    reverse_lookup,
 )
 from .synthgen import SynthSpec, generate
 
@@ -73,7 +72,6 @@ __all__ = [
     "fit_sampler",
     "Shapelet",
     "FeatureMatrix",
-    "reverse_lookup",
     "min_distance",
     "create_feature_sets",
     "RandomForest",

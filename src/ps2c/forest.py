@@ -33,23 +33,33 @@ _BLOCK_ELEMENTS = 1 << 16
 
 
 def _grow(X: np.ndarray, y: np.ndarray, rng: np.random.Generator, m: int, n_classes: int) -> _Node:
-    counts = np.bincount(y, minlength=n_classes)
+    """Grow one tree; nodes pass row indices down and gather only their candidate columns."""
+    return _grow_rows(X, y, np.arange(y.size), rng, m, n_classes)
+
+
+def _grow_rows(
+    X: np.ndarray, y: np.ndarray, rows: np.ndarray, rng: np.random.Generator, m: int, n_classes: int
+) -> _Node:
+    labels = y[rows]
+    counts = np.bincount(labels, minlength=n_classes)
     node = _Node(int(counts.argmax()))
-    n = y.size
-    if counts.max() == n or n < 2:
+    if counts.max() == rows.size or rows.size < 2:
         return node
 
     k = X.shape[1]
     features = rng.choice(k, size=min(m, k), replace=False)
-    feature, threshold = _best_split(X, y, features, counts)
-    if feature < 0:
+    # the gathered columns are freed before the recursion below
+    column, threshold = _best_split(
+        X[rows[:, None], features], labels, np.arange(features.size), counts
+    )
+    if column < 0:
         return node
 
-    node.feature = feature
+    node.feature = int(features[column])
     node.threshold = threshold
-    mask = X[:, feature] <= threshold
-    node.left = _grow(X[mask], y[mask], rng, m, n_classes)
-    node.right = _grow(X[~mask], y[~mask], rng, m, n_classes)
+    mask = X[rows, node.feature] <= threshold
+    node.left = _grow_rows(X, y, rows[mask], rng, m, n_classes)
+    node.right = _grow_rows(X, y, rows[~mask], rng, m, n_classes)
     return node
 
 

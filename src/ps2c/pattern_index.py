@@ -16,10 +16,11 @@ lexicographic pattern order. The windows stay in that sorted order from
 one length to the next: the next keys then arrive grouped by prefix
 rank, each group already in (instance, offset) order, so the sort
 mostly merges runs that are in order and no rank is scattered back.
-A pattern's text is sliced from its first occurrence; queries by text
-binary-search the sorted rows. Scoring reads a length's table as one
-(patterns, classes) array of presence counts, derived from the CSR
-presence pairs, and works on it one class column at a time.
+A pattern is named by its (length, row); its text is sliced from its
+first occurrence, and queries by text binary-search the sorted rows.
+Scoring reads a length's table as one (patterns, classes) array of
+presence counts, derived from the CSR presence pairs, and works on it
+one class column at a time.
 """
 
 from __future__ import annotations
@@ -149,7 +150,7 @@ class PatternIndex:
         vector rather than an error.
         """
         out = np.zeros(self.n_instances, dtype=bool)
-        row = self._row_of(pattern)
+        row = self.row_of(pattern)
         if row is not None:
             out[self._tables[len(pattern)].instances_of(row)] = True
         return out
@@ -160,10 +161,14 @@ class PatternIndex:
         Ties break toward the lowest instance index, then lowest offset,
         so reverse lookup is deterministic across runs.
         """
-        row = self._row_of(pattern)
+        row = self.row_of(pattern)
         if row is None:
             raise KeyError(f"pattern {pattern!r} occurs in no instance")
-        table = self._tables[len(pattern)]
+        return self.occurrence(len(pattern), row)
+
+    def occurrence(self, length: int, row: int) -> tuple[int, int]:
+        """Earliest (instance index, symbol offset) of the pattern in a row."""
+        table = self._tables[length]
         return int(table.first_instance[row]), int(table.first_offset[row])
 
     def presence_counts(self, length: int, class_of: np.ndarray, n_classes: int) -> np.ndarray:
@@ -183,7 +188,8 @@ class PatternIndex:
         offset = table.first_offset[row]
         return sax_text(self._codes[table.first_instance[row]][offset : offset + length])
 
-    def _row_of(self, pattern: str) -> int | None:
+    def row_of(self, pattern: str) -> int | None:
+        """The pattern's row in its length's table, or None if it occurs nowhere."""
         length = len(pattern)
         table = self._tables.get(length)
         if table is None:

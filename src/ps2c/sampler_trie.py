@@ -1,17 +1,20 @@
 """Pattern sampler: a flat log-weight store drawn by Gumbel-top-k.
 
 Accepted patterns are parallel arrays (length, pattern-table row,
-quality q, log-weight log(q)/tau), and text is sliced only for drawn
+quality q, log-weight log(q)/tau) over one fitted ``PatternIndex``, and
+(length, row) is a pattern's only handle: text is sliced only for drawn
 patterns. Pattern i is drawn with probability w_i / sum(w), where
 w = q**(1/tau). Adding Gumbel noise to every log-weight and keeping the
 k largest keys draws k distinct patterns with exactly the law of
 drawing one at a time and redrawing duplicates; log-weights never
 underflow, unlike w in float64.
 
-The paper's weighted trie is a read-only view built on first access.
-Its edges aggregate the linear weights of the patterns below them, and
-stopping at an internal terminal competes as a pseudo-edge, so its
-descent probabilities telescope to the same w / sum(w).
+The paper's weighted trie is computed from the store, not built: the
+weight of the edge ending in a prefix is the sum, in store order, of
+the linear weights of the patterns that start with that prefix, and no
+node structure exists. Stopping at a stored pattern that is also a
+prefix competes with its outgoing edges, so descent probabilities
+telescope to the same w / sum(w).
 """
 
 from __future__ import annotations
@@ -24,61 +27,51 @@ from .quality import chi2_normalized_many, scale
 __all__ = ["SamplerTrie", "fit_sampler"]
 
 
-class TrieNode:
-    """A trie-view node; a terminal's weight may be 0.0 after float64 underflow."""
-
-    __slots__ = ("children", "is_terminal", "terminal_weight", "node_weight")
-
-    def __init__(self):
-        self.children: dict[str, list] = {}  # symbol -> [edge weight, child]
-        self.is_terminal = False
-        self.terminal_weight = 0.0
-        self.node_weight = 0.0
-
-
 class SamplerTrie:
     """The fitted pattern sampler for one (alpha, omega) cell.
 
-    Pattern i has quality ``q[i]`` and text ``text_of(lengths[i], rows[i])``.
+    Pattern i has quality ``q[i]`` and is row ``rows[i]`` of the
+    length-``lengths[i]`` table of ``index``.
     """
 
-    def __init__(self, tau: float, s_min: float, lengths, rows, q, text_of):
+    def __init__(self, tau: float, s_min: float, index: PatternIndex, lengths, rows, q):
         if tau <= 0:
             raise ValueError(f"tau must be positive, got {tau}")
         self.tau = tau
         self.s_min = s_min
+        self.index = index
         self.lengths = np.asarray(lengths, dtype=np.int64)
         self.rows = np.asarray(rows, dtype=np.int64)
         self.q = np.asarray(q, dtype=np.float64)
         self.log_w = np.log(self.q) / tau
-        self._text_of = text_of
-        self._view = None
 
     @classmethod
-    def from_patterns(cls, patterns, tau: float, s_min: float) -> "SamplerTrie":
-        """Sampler over hand-given patterns: a mapping or (pattern, q) pairs.
+    def from_patterns(
+        cls, index: PatternIndex, patterns, tau: float, s_min: float
+    ) -> "SamplerTrie":
+        """Sampler over hand-given patterns of ``index``: a mapping or (pattern, q) pairs.
 
-        Each pattern needs length >= 2 and a quality q > 0 with
-        q >= s_min, and may appear only once.
+        Each pattern needs length >= 2, an occurrence in the index and a
+        quality q > 0 with q >= s_min, and may appear only once.
         """
-        items = list(patterns.items() if hasattr(patterns, "items") else patterns)
-        seen: set[str] = set()
-        for pattern, q in items:
+        stored: dict[tuple[int, int], float] = {}
+        for pattern, q in patterns.items() if hasattr(patterns, "items") else patterns:
             if len(pattern) < 2:
                 raise ValueError(f"patterns must have length >= 2, got {pattern!r}")
             if q <= 0.0 or q < s_min:
                 raise ValueError(
                     f"quality {q} below acceptance threshold (s_min={s_min}, must also be > 0)"
                 )
-            if pattern in seen:
+            row = index.row_of(pattern)
+            if row is None:
+                raise ValueError(f"pattern {pattern!r} occurs in no instance of the index")
+            if (len(pattern), row) in stored:
                 raise ValueError(f"pattern {pattern!r} given twice")
-            seen.add(pattern)
-        # as in a pattern table, rows rank patterns lexically within a length
-        items.sort(key=lambda item: (len(item[0]), item[0]))
-        lengths = [len(p) for p, _ in items]
-        rows = [i - lengths.index(n) for i, n in enumerate(lengths)]
-        texts = {(n, row): p for n, row, (p, _) in zip(lengths, rows, items)}
-        return cls(tau, s_min, lengths, rows, [q for _, q in items], lambda n, row: texts[n, row])
+            stored[len(pattern), row] = q
+        # store order is (length, row), as in fit_sampler
+        keys = sorted(stored)
+        lengths, rows = [n for n, _ in keys], [row for _, row in keys]
+        return cls(tau, s_min, index, lengths, rows, [stored[key] for key in keys])
 
     @property
     def pattern_count(self) -> int:
@@ -89,13 +82,13 @@ class SamplerTrie:
         return self.pattern_count == 0
 
     def text(self, i: int) -> str:
-        return self._text_of(int(self.lengths[i]), int(self.rows[i]))
+        return self.index.row_text(int(self.lengths[i]), int(self.rows[i]))
 
-    def sample_distinct(self, k: int, rng: np.random.Generator) -> list[str]:
-        """Draw min(k, pattern_count) distinct patterns by Gumbel-top-k.
+    def sample_positions(self, k: int, rng: np.random.Generator) -> np.ndarray:
+        """Store positions of min(k, pattern_count) distinct patterns, by Gumbel-top-k.
 
         One Gumbel variate per stored pattern is drawn from ``rng``. The
-        patterns come back in descending order of perturbed log-weight;
+        positions come back in descending order of perturbed log-weight;
         that sequence has the law of drawing one pattern at a time and
         redrawing duplicates.
         """
@@ -106,74 +99,63 @@ class SamplerTrie:
         keys = self.log_w + rng.gumbel(size=self.pattern_count)
         k = min(k, self.pattern_count)
         top = np.argpartition(-keys, k - 1)[:k]
-        top = top[np.argsort(-keys[top], kind="stable")]
-        return [self.text(i) for i in top]
+        return top[np.argsort(-keys[top], kind="stable")]
+
+    def sample_distinct(self, k: int, rng: np.random.Generator) -> list[str]:
+        """The patterns at :meth:`sample_positions`, as text."""
+        return [self.text(i) for i in self.sample_positions(k, rng)]
 
     def sample(self, rng: np.random.Generator) -> str:
         """Draw one pattern with probability proportional to q**(1/tau)."""
         return self.sample_distinct(1, rng)[0]
 
-    # -- the trie view -----------------------------------------------------
+    # -- the trie view, computed from the store ----------------------------
 
-    def _trie(self):
-        if self._view is None:
-            root = TrieNode()
-            position = {}
-            for i in range(self.pattern_count):
-                pattern = self.text(i)
-                position[pattern] = i
-                w = scale(float(self.q[i]), self.tau)
-                node = root
-                for symbol in pattern:
-                    node.node_weight += w
-                    edge = node.children.setdefault(symbol, [0.0, TrieNode()])
-                    edge[0] += w
-                    node = edge[1]
-                node.is_terminal = True
-                node.terminal_weight = w
-                node.node_weight += w
-            self._view = (root, position)
-        return self._view
+    def _weights(self) -> dict[str, float]:
+        """Each stored pattern's text -> its linear weight q**(1/tau), in store order."""
+        return {self.text(i): scale(float(q), self.tau) for i, q in enumerate(self.q)}
 
-    @property
-    def root(self) -> TrieNode:
-        return self._trie()[0]
+    def edge_weights(self) -> dict[str, float]:
+        """Trie edge weights: each prefix of a stored pattern -> its summed weight.
+
+        A prefix's weight adds up, in store order, the linear weights
+        q**(1/tau) of the stored patterns that start with it.
+        """
+        edges: dict[str, float] = {}
+        for pattern, w in self._weights().items():
+            for end in range(1, len(pattern) + 1):
+                edges[pattern[:end]] = edges.get(pattern[:end], 0.0) + w
+        return edges
 
     def path_probability(self, pattern: str) -> float:
         """Probability that :meth:`sample` returns ``pattern``."""
-        i = self._trie()[1].get(pattern)
-        if i is None:
+        row = self.index.row_of(pattern)
+        stored = (self.lengths == len(pattern)) & (self.rows == row)
+        if row is None or not stored.any():
             raise KeyError(f"pattern {pattern!r} is not in the trie")
         top = self.log_w.max()
         log_total = top + np.log(np.exp(self.log_w - top).sum())
-        return float(np.exp(self.log_w[i] - log_total))
+        return float(np.exp(self.log_w[stored][0] - log_total))
 
     def iter_patterns(self):
         """Yield (pattern, scaled weight q**(1/tau)) pairs in lexicographic order."""
-
-        def walk(node: TrieNode, prefix: str):
-            if node.is_terminal:
-                yield prefix, node.terminal_weight
-            for symbol in sorted(node.children):
-                yield from walk(node.children[symbol][1], prefix + symbol)
-
-        yield from walk(self.root, "")
+        yield from sorted(self._weights().items())
 
     def to_text(self) -> str:
         """Indented dump of edges, weights, and terminal markers."""
+        weights = self._weights()
+        # the empty prefix's weight, added up in store order like the edges'
+        root_weight = 0.0
+        for w in weights.values():
+            root_weight += w
         lines = [
             f"trie tau={self.tau:g} s_min={self.s_min:g} "
-            f"patterns={self.pattern_count} root_weight={self.root.node_weight:.6g}"
+            f"patterns={self.pattern_count} root_weight={root_weight:.6g}"
         ]
-
-        def walk(node: TrieNode, depth: int):
-            for symbol in sorted(node.children):
-                weight, child = node.children[symbol]
-                marker = f" *{child.terminal_weight:.6g}" if child.is_terminal else ""
-                lines.append(f"{'  ' * depth}{symbol} {weight:.6g}{marker}")
-                walk(child, depth + 1)
-
-        walk(self.root, 1)
+        # sorted prefixes are the depth-first order, children in symbol order
+        for prefix, weight in sorted(self.edge_weights().items()):
+            marker = f" *{weights[prefix]:.6g}" if prefix in weights else ""
+            lines.append(f"{'  ' * len(prefix)}{prefix[-1]} {weight:.6g}{marker}")
         return "\n".join(lines)
 
 
@@ -212,4 +194,4 @@ def fit_sampler(
         lengths.append(np.full(accepted.size, length, dtype=np.int64))
         rows.append(accepted)
         qs.append(q[accepted])
-    return SamplerTrie(tau, s_min, *map(np.concatenate, (lengths, rows, qs)), index.row_text)
+    return SamplerTrie(tau, s_min, index, *map(np.concatenate, (lengths, rows, qs)))

@@ -1,8 +1,8 @@
-"""Reverse lookup of sampled patterns and min-distance feature matrices.
+"""Grounding of sampled patterns and min-distance feature matrices.
 
 The sampler draws k distinct patterns per cell by Gumbel-top-k over
-its flat log-weight store, and only those k are sliced to text. Each
-sampled symbolic pattern is grounded in its earliest occurrence in the
+its flat log-weight store. Each drawn pattern is grounded through its
+(length, row) in the pattern index, in its earliest occurrence in the
 training data, yielding a real-valued shapelet; each instance is then
 described by its minimal sliding distance to every shapelet. The
 distance is the squared Euclidean distance of the best alignment
@@ -112,7 +112,17 @@ def reverse_lookup(
     to the instance's end when the final symbol covered a short tail
     segment.
     """
-    instance, offset = index.first_occurrence(pattern)
+    return _ground(pattern, index.first_occurrence(pattern), real_train, discretized)
+
+
+def _ground(
+    pattern: str,
+    occurrence: tuple[int, int],
+    real_train: LabeledDataset,
+    discretized: DiscretizedDataset,
+) -> Shapelet:
+    """The shapelet of ``pattern`` at its (instance, symbol offset) occurrence."""
+    instance, offset = occurrence
     omega = discretized.params.omega
     series = real_train.series[instance]
     start = offset * omega
@@ -282,14 +292,19 @@ def create_feature_sets(
     """Sample patterns and build train/test min-distance matrices.
 
     Draws min(k, pattern count) distinct patterns with one Gumbel-top-k
-    pass on ``rng``. Column order is descending Gumbel key, which is the
-    order of drawing without replacement. Test labels are never read
-    here: the transform sees only series values.
+    pass on ``rng`` and grounds each through its (length, row) in
+    ``index``, which must be the index the sampler was fitted on. Column
+    order is descending Gumbel key, which is the order of drawing
+    without replacement. Test labels are never read here: the transform
+    sees only series values.
     """
-    chosen = trie.sample_distinct(k, rng)
-    shapelets = [
-        reverse_lookup(p, real_train, discretized_train, index) for p in chosen
-    ]
+    if trie.index is not index:
+        raise ValueError("the sampler was fitted on a different pattern index")
+    shapelets = []
+    for i in trie.sample_positions(k, rng):
+        length, row = int(trie.lengths[i]), int(trie.rows[i])
+        pattern, occurrence = index.row_text(length, row), index.occurrence(length, row)
+        shapelets.append(_ground(pattern, occurrence, real_train, discretized_train))
     train = FeatureMatrix(_distance_matrix(_shared_rows(real_train), shapelets), shapelets)
     test = FeatureMatrix(_distance_matrix(_shared_rows(real_test), shapelets), list(shapelets))
     return train, test

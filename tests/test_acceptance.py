@@ -75,18 +75,6 @@ def _oracle_fit(strings, labels, l_max, s_min, tau):
     return accepted, edges
 
 
-def _trie_edges(trie):
-    out = {}
-
-    def walk(node, prefix):
-        for symbol, (weight, child) in node.children.items():
-            out[prefix + symbol] = weight
-            walk(child, prefix + symbol)
-
-    walk(trie.root, "")
-    return out
-
-
 def test_criterion_1_trie_oracle_equivalence():
     rng = np.random.default_rng(2024)
     checked = 0
@@ -115,7 +103,7 @@ def test_criterion_1_trie_oracle_equivalence():
         assert set(got_patterns) == set(accepted)
         for pattern, weight in accepted.items():
             assert got_patterns[pattern] == pytest.approx(weight, abs=1e-9)
-        got_edges = _trie_edges(trie)
+        got_edges = trie.edge_weights()
         assert set(got_edges) == set(edges)
         for prefix, weight in edges.items():
             assert got_edges[prefix] == pytest.approx(weight, abs=1e-9)

@@ -262,6 +262,85 @@ def test_trie_dump_all_weights_underflow_prints_trie(capsys, tmp_path):
     assert "*0" in stdout
 
 
+# Seventeen binary series, classes of 6 and 11: at alpha 2 and omega 1
+# each 0/1 step is one symbol. "aaa" occurs in one series of class 1
+# and two of class 2, so its q is 1/2772 and q**100 underflows to 0.0.
+_GOLDEN_ROWS = """\
+1 001011
+1 110010
+1 110110
+1 010000
+1 101001
+1 101001
+2 101001
+2 011011
+2 110101
+2 101101
+2 001110
+2 101100
+2 000011
+2 111010
+2 010110
+2 111110
+2 110000
+"""
+
+_GOLDEN_DUMPS = {
+    "--alpha 2 --omega 1 --lmax 3 --smin 0 --tau 0.01": """\
+trie tau=0.01 s_min=0 patterns=12 root_weight=1.32198e-63
+  a 3.84322e-70
+    a 3.39346e-84 *1.32985e-87
+      a 0 *0
+      b 3.39213e-84 *3.39213e-84
+    b 3.84322e-70 *1.47819e-114
+      a 3.84322e-70 *3.84322e-70
+      b 3.45115e-139 *3.45115e-139
+  b 1.32198e-63
+    a 3.39213e-84 *1.83594e-147
+      a 3.39213e-84 *3.39213e-84
+      b 1.98249e-304 *1.98249e-304
+    b 1.32198e-63 *5.22426e-68
+      a 1.32193e-63 *1.32193e-63
+      b 5.95907e-94 *5.95907e-94
+""",
+    "--alpha 3 --omega 2 --lmax 3 --smin 0 --tau 2": """\
+trie tau=2 s_min=0 patterns=19 root_weight=3.48776
+  a 1.49086
+    a 0.203631 *0.0189934
+      c 0.184637 *0.184637
+    b 0.832915 *0.494413
+      c 0.338502 *0.338502
+    c 0.454317 *0.26968
+      b 0.184637 *0.184637
+  b 0.887616
+    b 0.398854 *0.0435194
+      b 0.170697 *0.170697
+      c 0.184637 *0.184637
+    c 0.488763 *0.119488
+      a 0.184637 *0.184637
+      b 0.184637 *0.184637
+  c 1.10928
+    a 0.514432 *0.0635642
+      a 0.112367 *0.112367
+      b 0.338502 *0.338502
+    b 0.225577 *0.206584
+      b 0.0189934 *0.0189934
+    c 0.369274 *0.184637
+      a 0.184637 *0.184637
+""",
+}
+
+
+@pytest.mark.parametrize("flags", sorted(_GOLDEN_DUMPS))
+def test_trie_dump_golden_output(capsys, tmp_path, flags):
+    path = tmp_path / "golden.csv"
+    rows = [line.split() for line in _GOLDEN_ROWS.splitlines()]
+    path.write_text("".join(",".join([label, *bits]) + "\n" for label, bits in rows))
+    code, stdout, _ = _run(capsys, ["trie-dump", str(path), *flags.split()])
+    assert code == 0
+    assert stdout == _GOLDEN_DUMPS[flags]
+
+
 def test_bench_two_sizes(capsys):
     code, stdout, _ = _run(
         capsys, ["bench", "--sizes", "40,80", "--lengths", "32", "--seed", "1"]

@@ -18,21 +18,14 @@ def _dataset(strings, alpha):
     return DiscretizedDataset(SaxParams(alpha, 1), codes)
 
 
+def _index_of(patterns):
+    """An index whose instances are the given patterns, so each occurs in it."""
+    strings = [p for p, _ in (patterns.items() if hasattr(patterns, "items") else patterns)]
+    return PatternIndex.build(_dataset(strings, 26), max([2, *map(len, strings)]))
+
+
 def _trie(inserts, tau=1.0, s_min=0.0):
-    return SamplerTrie.from_patterns(inserts, tau=tau, s_min=s_min)
-
-
-def _edge_weights(trie):
-    """Brute-force recomputation oracle: walk and collect edge weights."""
-    out = {}
-
-    def walk(node, prefix):
-        for symbol, (weight, child) in sorted(node.children.items()):
-            out[prefix + symbol] = weight
-            walk(child, prefix + symbol)
-
-    walk(trie.root, "")
-    return out
+    return SamplerTrie.from_patterns(_index_of(inserts), inserts, tau=tau, s_min=s_min)
 
 
 def _expected_edges(patterns):
@@ -47,7 +40,7 @@ def _expected_edges(patterns):
 def test_insert_shared_prefix_aggregates():
     # tau=1 keeps weights equal to the supplied qualities
     trie = _trie([("ffe", 1.0), ("ffc", 0.65)])
-    edges = _edge_weights(trie)
+    edges = trie.edge_weights()
     assert edges["f"] == pytest.approx(1.65, abs=1e-12)
     assert edges["ff"] == pytest.approx(1.65, abs=1e-12)
     assert edges["ffe"] == pytest.approx(1.0, abs=1e-12)
@@ -56,30 +49,30 @@ def test_insert_shared_prefix_aggregates():
 
 def test_insert_single_pattern():
     trie = _trie([("ab", 0.4)])
-    edges = _edge_weights(trie)
+    edges = trie.edge_weights()
     assert edges == {"a": pytest.approx(0.4), "ab": pytest.approx(0.4)}
     assert trie.pattern_count == 1
 
 
 def test_insert_prefix_pattern_terminal_and_node_weight():
     trie = _trie([("ab", 0.4), ("abc", 0.3)])
-    edges = _edge_weights(trie)
+    edges = trie.edge_weights()
     assert edges["a"] == pytest.approx(0.7, abs=1e-12)
     assert edges["ab"] == pytest.approx(0.7, abs=1e-12)
     assert edges["abc"] == pytest.approx(0.3, abs=1e-12)
-    node = trie.root.children["a"][1].children["b"][1]
-    assert node.terminal_weight == pytest.approx(0.4, abs=1e-12)
-    assert node.node_weight == pytest.approx(0.7, abs=1e-12)
+    # the terminal at "ab" keeps its own weight; the edge into it, like
+    # the old node weight, carries the whole subtree's
+    assert dict(trie.iter_patterns())["ab"] == pytest.approx(0.4, abs=1e-12)
 
 
 def test_insert_applies_temperature():
     trie = _trie([("ab", 0.5)], tau=0.5)
-    assert _edge_weights(trie)["ab"] == pytest.approx(0.25, abs=1e-12)
+    assert trie.edge_weights()["ab"] == pytest.approx(0.25, abs=1e-12)
 
 
 def test_insert_rejects_bad_input():
     def build(patterns):
-        return SamplerTrie.from_patterns(patterns, tau=1.0, s_min=0.3)
+        return SamplerTrie.from_patterns(_index_of(patterns), patterns, tau=1.0, s_min=0.3)
 
     with pytest.raises(ValueError):
         build({"a": 0.5})  # too short
@@ -107,7 +100,7 @@ def test_edge_aggregation_matches_bruteforce(patterns, tau):
     trie = _trie(items, tau=tau)
     scaled = [(p, scale(q, tau)) for p, q in items]
     expected = _expected_edges(scaled)
-    got = _edge_weights(trie)
+    got = trie.edge_weights()
     assert got.keys() == expected.keys()
     for key in expected:
         assert got[key] == pytest.approx(expected[key], abs=1e-9)
@@ -181,7 +174,7 @@ def test_temperature_sharpening_ratio():
 
 
 def test_empty_trie_behavior():
-    trie = SamplerTrie.from_patterns({}, tau=0.5, s_min=0.05)
+    trie = _trie({}, tau=0.5, s_min=0.05)
     assert trie.is_empty
     with pytest.raises(ValueError):
         trie.sample(np.random.default_rng(0))
@@ -195,6 +188,16 @@ def test_path_probability_unknown_pattern():
         trie.path_probability("ba")
     with pytest.raises(KeyError):
         trie.path_probability("a")  # prefix exists but no terminal there
+    # "ab" has a row in the index, as a prefix of "abc", but is not stored
+    with pytest.raises(KeyError):
+        _trie([("abc", 0.4)]).path_probability("ab")
+
+
+def test_from_patterns_rejects_pattern_absent_from_index():
+    index = _index_of([("abc", 0.4)])
+    assert SamplerTrie.from_patterns(index, {"bc": 0.4}, tau=1.0, s_min=0.0).pattern_count == 1
+    with pytest.raises(ValueError, match="no instance"):
+        SamplerTrie.from_patterns(index, {"ca": 0.4}, tau=1.0, s_min=0.0)
 
 
 # At tau=0.01 the weight of q=1e-4 is 1e-400, which float64 rounds to 0.0.

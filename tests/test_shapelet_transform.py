@@ -247,7 +247,7 @@ def test_create_feature_sets_deterministic():
 
 def test_create_feature_sets_k_exceeds_trie_patterns():
     train, test, d, index, _ = _fixture_cell()
-    trie = SamplerTrie.from_patterns({"ab": 0.5, "ba": 0.5}, tau=1.0, s_min=0.0)
+    trie = SamplerTrie.from_patterns(index, {"ab": 0.5, "ba": 0.5}, tau=1.0, s_min=0.0)
     ftr, fte = create_feature_sets(train, test, d, index, trie, 4, np.random.default_rng(0))
     assert ftr.n_columns == 2  # min(k, pattern count) distinct draws
     assert fte.n_columns == 2
@@ -264,9 +264,18 @@ def test_create_feature_sets_rejects_empty_trie():
     train, test, d, index, _ = _fixture_cell()
     with pytest.raises(ValueError):
         create_feature_sets(
-            train, test, d, index, SamplerTrie.from_patterns({}, tau=1.0, s_min=0.0), 4,
+            train, test, d, index, SamplerTrie.from_patterns(index, {}, tau=1.0, s_min=0.0), 4,
             np.random.default_rng(0),
         )
+
+
+def test_create_feature_sets_rejects_sampler_of_another_index():
+    # an index rebuilt from the same data is equal but not the sampler's:
+    # the sampler's rows are only meaningful in the index it was fitted on
+    train, test, d, index, trie = _fixture_cell()
+    rebuilt = PatternIndex.build(d, index.l_max)
+    with pytest.raises(ValueError, match="different pattern index"):
+        create_feature_sets(train, test, d, rebuilt, trie, 4, np.random.default_rng(0))
 
 
 def test_feature_matrix_csv_roundtrip(tmp_path):
