@@ -16,7 +16,6 @@ from .dataset import (
     znormalize_dataset,
 )
 from .discretizer import (
-    DiscretizedDataset,
     SaxParams,
     compute_breakpoints,
     discretize,
@@ -24,14 +23,11 @@ from .discretizer import (
     sax,
     sax_text,
 )
-from .forest import RandomForest
 from .pattern_index import PatternIndex
 from .pipeline import (
     ExperimentResult,
-    MergedFeatureSet,
     NoPatternsError,
     PipelineConfig,
-    SkippedCell,
     build_report,
     evaluate,
     fit_transform,
@@ -39,14 +35,9 @@ from .pipeline import (
     run_experiment,
     train_classifier,
 )
-from .quality import pattern_quality, scale
-from .sampler_trie import SamplerTrie, fit_sampler
-from .shapelet_transform import (
-    FeatureMatrix,
-    Shapelet,
-    create_feature_sets,
-    min_distance,
-)
+from .quality import pattern_quality
+from .sampler_trie import fit_sampler
+from .shapelet_transform import create_feature_sets
 from .synthgen import SynthSpec, generate
 
 __version__ = "0.1.0"
@@ -59,25 +50,16 @@ __all__ = [
     "znormalize_dataset",
     "resample_split",
     "SaxParams",
-    "DiscretizedDataset",
     "compute_breakpoints",
     "paa",
     "sax",
     "sax_text",
     "discretize",
-    "scale",
     "pattern_quality",
     "PatternIndex",
-    "SamplerTrie",
     "fit_sampler",
-    "Shapelet",
-    "FeatureMatrix",
-    "min_distance",
     "create_feature_sets",
-    "RandomForest",
     "PipelineConfig",
-    "SkippedCell",
-    "MergedFeatureSet",
     "ExperimentResult",
     "NoPatternsError",
     "fit_transform",

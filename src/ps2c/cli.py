@@ -97,28 +97,27 @@ def _resolve_threads(value) -> int:
     return os.cpu_count() or 1
 
 
-def _config_from(args) -> PipelineConfig:
-    return PipelineConfig(
-        alphas=tuple(args.alphas),
-        omegas=tuple(args.omegas),
-        l_max=args.lmax,
-        s_min=args.smin,
-        tau=args.tau,
-        k=args.k,
-        seed=args.seed,
-    )
+def _config_from(args, **grid) -> PipelineConfig:
+    """The validated settings of the sampler flags plus the given grid fields."""
+    return PipelineConfig(l_max=args.lmax, s_min=args.smin, tau=args.tau, **grid)
 
 
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--alphas", type=_int_list, default=[2, 3, 4, 5, 6, 7, 8],
+def _add_sampler_flags(parser: argparse.ArgumentParser, defaults: PipelineConfig) -> None:
+    parser.add_argument("--lmax", type=int, default=defaults.l_max, help="longest pattern length")
+    parser.add_argument("--smin", type=float, default=defaults.s_min,
+                        help="minimum normalized chi-square")
+    parser.add_argument("--tau", type=float, default=defaults.tau,
+                        help="temperature for weight scaling")
+
+
+def _add_config_flags(parser: argparse.ArgumentParser, defaults: PipelineConfig) -> None:
+    parser.add_argument("--alphas", type=_int_list, default=defaults.alphas,
                         metavar="LIST", help="alphabet sizes, comma-separated")
-    parser.add_argument("--omegas", type=_int_list, default=[2, 3, 4, 5, 6],
+    parser.add_argument("--omegas", type=_int_list, default=defaults.omegas,
                         metavar="LIST", help="window sizes, comma-separated")
-    parser.add_argument("--lmax", type=int, default=20, help="longest pattern length")
-    parser.add_argument("--smin", type=float, default=0.05, help="minimum normalized chi-square")
-    parser.add_argument("--tau", type=float, default=0.5, help="temperature for weight scaling")
-    parser.add_argument("--k", type=int, default=4, help="patterns sampled per grid cell")
-    parser.add_argument("--seed", type=int, default=0, help="master RNG seed")
+    _add_sampler_flags(parser, defaults)
+    parser.add_argument("--k", type=int, default=defaults.k, help="patterns sampled per grid cell")
+    parser.add_argument("--seed", type=int, default=defaults.seed, help="master RNG seed")
 
 
 def cmd_run(args) -> int:
@@ -126,7 +125,7 @@ def cmd_run(args) -> int:
         if args.resamples < 1:
             raise ValueError(f"--resamples must be >= 1, got {args.resamples}")
         threads = _resolve_threads(args.threads)
-        config = _config_from(args)
+        config = _config_from(args, alphas=args.alphas, omegas=args.omegas, k=args.k, seed=args.seed)
         train = load_ucr(args.train)
         test = load_ucr(args.test)
     except (OSError, UcrFormatError, ValueError) as exc:
@@ -190,11 +189,12 @@ def cmd_discretize(args) -> int:
 def cmd_trie_dump(args) -> int:
     try:
         params = SaxParams(args.alpha, args.omega)
+        config = _config_from(args, alphas=(params.alpha,), omegas=(params.omega,))
         dataset = znormalize_dataset(load_ucr(args.train))
         discretized = discretize(dataset, params)
-        index = PatternIndex.build(discretized, args.lmax)
+        index = PatternIndex.build(discretized, config.l_max)
         trie = fit_sampler(
-            discretized, index, dataset.labels, args.lmax, args.smin, args.tau
+            discretized, index, dataset.labels, config.l_max, config.s_min, config.tau
         )
     except (OSError, UcrFormatError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -270,6 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Pattern-sampled shapelet classification over symbolic grids.",
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    defaults = PipelineConfig()  # every pipeline flag's default is the config field's
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--quiet", action="store_true",
                         help="print no logged warnings, only errors")
@@ -282,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_run.add_argument("train", help="training split file")
     p_run.add_argument("test", help="test split file")
-    _add_config_flags(p_run)
+    _add_config_flags(p_run, defaults)
     p_run.add_argument("--resamples", type=int, default=1,
                        help="number of train/test resamples; resample 0 keeps the original split")
     p_run.add_argument("--threads", type=int, default=None,
@@ -312,9 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_trie.add_argument("train", help="dataset file")
     p_trie.add_argument("--alpha", type=int, required=True, help="alphabet size")
     p_trie.add_argument("--omega", type=int, required=True, help="window size")
-    p_trie.add_argument("--lmax", type=int, default=20, help="longest pattern length")
-    p_trie.add_argument("--smin", type=float, default=0.05, help="minimum normalized chi-square")
-    p_trie.add_argument("--tau", type=float, default=0.5, help="temperature for weight scaling")
+    _add_sampler_flags(p_trie, defaults)
     p_trie.set_defaults(func=cmd_trie_dump)
 
     p_bench = sub.add_parser(

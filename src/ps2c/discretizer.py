@@ -70,8 +70,8 @@ def compute_breakpoints(alpha: int) -> np.ndarray:
     return _breakpoints(alpha)
 
 
-def paa_length(n: int, omega: int) -> int:
-    """round(n / omega), half away from zero, in exact integer arithmetic."""
+def paa_length(n, omega: int):
+    """round(n / omega), half away from zero, in exact integer arithmetic; n may be an array."""
     return (2 * n + omega) // (2 * omega)
 
 
@@ -102,7 +102,7 @@ def _paa_many(series_list, omega: int) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(
             f"series length {lengths[too_short[0]]} is shorter than omega {omega}"
         )
-    sizes = (2 * lengths + omega) // (2 * omega)  # paa_length, per series
+    sizes = paa_length(lengths, omega)
     tails = np.flatnonzero(sizes * omega != lengths)
     full = sizes.copy()
     full[tails] -= 1  # windows of exactly omega observations
@@ -142,19 +142,9 @@ class DiscretizedDataset:
     def __init__(self, params: SaxParams, codes: tuple[np.ndarray, ...]):
         self.params = params
         self.codes = tuple(codes)
-        self._strings: tuple[str, ...] | None = None
 
     @property
     def n_instances(self) -> int:
-        return len(self.codes)
-
-    @property
-    def strings(self) -> tuple[str, ...]:
-        if self._strings is None:
-            self._strings = tuple(sax_text(c) for c in self.codes)
-        return self._strings
-
-    def __len__(self) -> int:
         return len(self.codes)
 
 
@@ -183,5 +173,5 @@ def _shared_paa(series_list, omega: int) -> tuple[np.ndarray, np.ndarray]:
 def dump_text(discretized: DiscretizedDataset, labels) -> str:
     """Debug dump: one "label<TAB>string" line per instance."""
     return "\n".join(
-        f"{label}\t{string}" for label, string in zip(labels, discretized.strings)
+        f"{label}\t{sax_text(codes)}" for label, codes in zip(labels, discretized.codes)
     )

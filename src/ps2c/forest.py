@@ -124,13 +124,10 @@ class RandomForest:
     SeedSequence); identical seeds give identical predictions.
     """
 
-    def __init__(self, n_trees: int = 100, max_features: str = "sqrt", seed=0):
+    def __init__(self, n_trees: int = 100, seed=0):
         if n_trees < 1:
             raise ValueError(f"n_trees must be >= 1, got {n_trees}")
-        if max_features != "sqrt":
-            raise ValueError("only sqrt feature subsampling is supported")
         self.n_trees = n_trees
-        self.max_features = max_features
         self.seed = seed
         self.trees: list[_Node] = []
         self.classes_: tuple[str, ...] = ()

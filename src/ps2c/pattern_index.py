@@ -16,8 +16,9 @@ lexicographic pattern order. The windows stay in that sorted order from
 one length to the next: the next keys then arrive grouped by prefix
 rank, each group already in (instance, offset) order, so the sort
 mostly merges runs that are in order and no rank is scattered back.
-A pattern is named by its (length, row); its text is sliced from its
-first occurrence, and queries by text binary-search the sorted rows.
+A pattern is named by its (length, row): its earliest occurrence is
+queried by that handle alone, and its text is sliced from it. Text is
+looked up only by ``row_of``, which binary-searches the sorted rows.
 Scoring reads a length's table as one (patterns, classes) array of
 presence counts, derived from the CSR presence pairs, and works on it
 one class column at a time.
@@ -135,7 +136,8 @@ class PatternIndex:
         return sorted(self._tables)
 
     def pattern_count(self, length: int) -> int:
-        self._check_length(length)
+        if not 2 <= length <= self.l_max:
+            raise ValueError(f"pattern length {length} outside [2, {self.l_max}]")
         table = self._tables.get(length)
         return 0 if table is None else table.n_patterns
 
@@ -154,17 +156,6 @@ class PatternIndex:
         if row is not None:
             out[self._tables[len(pattern)].instances_of(row)] = True
         return out
-
-    def first_occurrence(self, pattern: str) -> tuple[int, int]:
-        """Earliest (instance index, symbol offset) of the pattern.
-
-        Ties break toward the lowest instance index, then lowest offset,
-        so reverse lookup is deterministic across runs.
-        """
-        row = self.row_of(pattern)
-        if row is None:
-            raise KeyError(f"pattern {pattern!r} occurs in no instance")
-        return self.occurrence(len(pattern), row)
 
     def occurrence(self, length: int, row: int) -> tuple[int, int]:
         """Earliest (instance index, symbol offset) of the pattern in a row."""
@@ -199,9 +190,3 @@ class PatternIndex:
         if row < table.n_patterns and self.row_text(length, row) == pattern:
             return row
         return None
-
-    def _check_length(self, length: int) -> None:
-        if not 2 <= length <= self.l_max:
-            raise ValueError(
-                f"pattern length {length} outside [2, {self.l_max}]"
-            )

@@ -10,10 +10,11 @@ cannot change any output value.
 from __future__ import annotations
 
 import logging
+import math
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -79,25 +80,14 @@ class PipelineConfig:
                 raise ValueError(f"window size must be >= 1, got {w}")
         if self.l_max < 2:
             raise ValueError(f"l_max must be >= 2, got {self.l_max}")
-        if self.s_min < 0:
-            raise ValueError(f"s_min must be >= 0, got {self.s_min}")
-        if self.tau <= 0:
-            raise ValueError(f"tau must be > 0, got {self.tau}")
+        if not 0 <= self.s_min < math.inf:
+            raise ValueError(f"s_min must be finite and >= 0, got {self.s_min}")
+        if not 0 < self.tau < math.inf:
+            raise ValueError(f"tau must be finite and > 0, got {self.tau}")
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
         if not 0 <= self.seed < 2**63:
             raise ValueError(f"seed must be a non-negative 63-bit integer, got {self.seed}")
-
-    def to_dict(self) -> dict:
-        return {
-            "alphas": list(self.alphas),
-            "omegas": list(self.omegas),
-            "l_max": self.l_max,
-            "s_min": self.s_min,
-            "tau": self.tau,
-            "k": self.k,
-            "seed": self.seed,
-        }
 
 
 @dataclass(frozen=True)
@@ -140,6 +130,9 @@ def _run_cell(
     master_seed: int,
 ) -> _CellOutcome:
     timings = {phase: 0.0 for phase in CELL_PHASES}
+    if omega >= ztrain.min_length:
+        reason = f"omega {omega} >= shortest training series length {ztrain.min_length}"
+        return _CellOutcome(alpha, omega, None, None, timings, reason)
     t0 = time.perf_counter()
     dtrain = discretize(ztrain, SaxParams(alpha, omega))
     t1 = time.perf_counter()
@@ -202,36 +195,25 @@ def fit_transform(
     ztest = znormalize_dataset(test)
     znorm_seconds = time.perf_counter() - t0
 
-    min_len = ztrain.min_length
-    skipped: list[SkippedCell] = []
-    runnable: list[tuple[int, int]] = []
-    for alpha in config.alphas:
-        for omega in config.omegas:
-            if omega >= min_len:
-                reason = f"omega {omega} >= shortest training series length {min_len}"
-                skipped.append(SkippedCell(alpha, omega, reason))
-            else:
-                runnable.append((alpha, omega))
-
     t1 = time.perf_counter()
-    outcomes: dict[tuple[int, int], _CellOutcome] = {}
-    if n_threads > 1 and len(runnable) > 1:
+    cells = [(alpha, omega) for alpha in config.alphas for omega in config.omegas]
+
+    def run(cell):
+        return _run_cell(*cell, ztrain, ztest, config, master_seed)
+
+    if n_threads > 1:
+        # map cancels the cells not yet started once one raises
         with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            futures = {
-                cell: pool.submit(_run_cell, cell[0], cell[1], ztrain, ztest, config, master_seed)
-                for cell in runnable
-            }
-            outcomes = {cell: fut.result() for cell, fut in futures.items()}
+            outcomes = list(pool.map(run, cells))
     else:
-        for alpha, omega in runnable:
-            outcomes[(alpha, omega)] = _run_cell(alpha, omega, ztrain, ztest, config, master_seed)
+        outcomes = [run(cell) for cell in cells]
 
     timings = {"znormalize": znorm_seconds, "grid": time.perf_counter() - t1}
     cell_seconds = {phase: 0.0 for phase in CELL_PHASES}
+    skipped: list[SkippedCell] = []
     train_blocks: list[FeatureMatrix] = []
     test_blocks: list[FeatureMatrix] = []
-    for cell in runnable:  # already ascending (alpha, omega)
-        outcome = outcomes[cell]
+    for outcome in outcomes:  # ascending (alpha, omega)
         for phase in CELL_PHASES:
             cell_seconds[phase] += outcome.timings[phase]
         if outcome.train is None:
@@ -244,7 +226,6 @@ def fit_transform(
         reasons = Counter(c.reason for c in skipped)
         counted = "; ".join(f"{n} cell{'s' * (n != 1)}: {r}" for r, n in sorted(reasons.items()))
         raise NoPatternsError(f"no discriminative patterns found ({counted})")
-    skipped.sort(key=lambda c: (c.alpha, c.omega))
     return MergedFeatureSet(
         merge(train_blocks), merge(test_blocks), tuple(skipped), timings, cell_seconds
     )
@@ -344,7 +325,7 @@ def run_experiment(
 def build_report(config: PipelineConfig, result: ExperimentResult, n_resamples: int) -> dict:
     """Deterministic run summary: no wall times, byte-stable across runs."""
     return {
-        "config": config.to_dict(),
+        "config": asdict(config),
         "n_resamples": n_resamples,
         "accuracies": list(result.accuracies),
         "mean_accuracy": result.mean_accuracy,

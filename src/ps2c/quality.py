@@ -10,6 +10,8 @@ a single presence vector.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = ["scale", "pattern_quality", "chi2_normalized_many"]
@@ -24,8 +26,8 @@ def scale(q: float, tau: float) -> float:
     the next double above it at tau=2. Order is never reversed: q1 < q2
     implies scale(q1, tau) <= scale(q2, tau).
     """
-    if tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau}")
+    if not 0 < tau < math.inf:
+        raise ValueError(f"tau must be finite and positive, got {tau}")
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"quality must be in [0, 1], got {q}")
     if q == 0.0:

@@ -19,6 +19,8 @@ telescope to the same w / sum(w).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .pattern_index import PatternIndex
@@ -35,8 +37,10 @@ class SamplerTrie:
     """
 
     def __init__(self, tau: float, s_min: float, index: PatternIndex, lengths, rows, q):
-        if tau <= 0:
-            raise ValueError(f"tau must be positive, got {tau}")
+        if not 0 < tau < math.inf:
+            raise ValueError(f"tau must be finite and positive, got {tau}")
+        if not 0 <= s_min < math.inf:
+            raise ValueError(f"s_min must be finite and >= 0, got {s_min}")
         self.tau = tau
         self.s_min = s_min
         self.index = index

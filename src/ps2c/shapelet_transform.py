@@ -1,13 +1,14 @@
 """Grounding of sampled patterns and min-distance feature matrices.
 
 The sampler draws k distinct patterns per cell by Gumbel-top-k over
-its flat log-weight store. Each drawn pattern is grounded through its
-(length, row) in the pattern index, in its earliest occurrence in the
-training data, yielding a real-valued shapelet; each instance is then
-described by its minimal sliding distance to every shapelet. The
-distance is the squared Euclidean distance of the best alignment
-divided by the shapelet length, so features stay comparable across
-resolutions with different shapelet lengths.
+its flat log-weight store. ``create_feature_sets`` is the one grounding
+path: each drawn pattern is grounded through its (length, row) in the
+pattern index, in its earliest occurrence in the training data,
+yielding a real-valued shapelet, and no query goes by pattern text.
+Each instance is then described by its minimal sliding distance to
+every shapelet. The distance is the squared Euclidean distance of the
+best alignment divided by the shapelet length, so features stay
+comparable across resolutions with different shapelet lengths.
 
 One kernel computes every distance, for any mix of series lengths: the
 series are zero-padded to the longest, searched with FFT sliding dot
@@ -32,7 +33,7 @@ from .discretizer import DiscretizedDataset
 from .pattern_index import PatternIndex
 from .sampler_trie import SamplerTrie
 
-__all__ = ["Shapelet", "FeatureMatrix", "reverse_lookup", "min_distance", "create_feature_sets"]
+__all__ = ["Shapelet", "FeatureMatrix", "min_distance", "create_feature_sets"]
 
 logger = logging.getLogger(__name__)
 
@@ -97,44 +98,6 @@ class FeatureMatrix:
         with open(path, "w") as fh:
             fh.write(",".join(header) + "\n")
             fh.write("\n".join(rows) + "\n")
-
-
-def reverse_lookup(
-    pattern: str,
-    real_train: LabeledDataset,
-    discretized: DiscretizedDataset,
-    index: PatternIndex,
-) -> Shapelet:
-    """Recover the real-valued subsequence behind a symbolic pattern.
-
-    Uses the earliest occurrence in dataset order. The subsequence spans
-    [offset*omega, (offset+len)*omega) in the source instance, truncated
-    to the instance's end when the final symbol covered a short tail
-    segment.
-    """
-    return _ground(pattern, index.first_occurrence(pattern), real_train, discretized)
-
-
-def _ground(
-    pattern: str,
-    occurrence: tuple[int, int],
-    real_train: LabeledDataset,
-    discretized: DiscretizedDataset,
-) -> Shapelet:
-    """The shapelet of ``pattern`` at its (instance, symbol offset) occurrence."""
-    instance, offset = occurrence
-    omega = discretized.params.omega
-    series = real_train.series[instance]
-    start = offset * omega
-    stop = min((offset + len(pattern)) * omega, series.size)
-    return Shapelet(
-        series[start:stop].copy(),
-        alpha=discretized.params.alpha,
-        omega=omega,
-        pattern=pattern,
-        source_index=instance,
-        symbol_offset=offset,
-    )
 
 
 def min_distance(series, shapelet) -> float:
@@ -293,18 +256,33 @@ def create_feature_sets(
 
     Draws min(k, pattern count) distinct patterns with one Gumbel-top-k
     pass on ``rng`` and grounds each through its (length, row) in
-    ``index``, which must be the index the sampler was fitted on. Column
-    order is descending Gumbel key, which is the order of drawing
-    without replacement. Test labels are never read here: the transform
-    sees only series values.
+    ``index``, which must be the index the sampler was fitted on: the
+    shapelet is the pattern's earliest occurrence in dataset order,
+    values [offset*omega, (offset+length)*omega) of the source instance,
+    cut at the instance's end when the last symbol covered a short tail
+    segment. Column order is descending Gumbel key, which is the order
+    of drawing without replacement. Test labels are never read here: the
+    transform sees only series values.
     """
     if trie.index is not index:
         raise ValueError("the sampler was fitted on a different pattern index")
+    alpha, omega = discretized_train.params.alpha, discretized_train.params.omega
     shapelets = []
     for i in trie.sample_positions(k, rng):
         length, row = int(trie.lengths[i]), int(trie.rows[i])
-        pattern, occurrence = index.row_text(length, row), index.occurrence(length, row)
-        shapelets.append(_ground(pattern, occurrence, real_train, discretized_train))
+        instance, offset = index.occurrence(length, row)
+        series = real_train.series[instance]
+        stop = min((offset + length) * omega, series.size)
+        shapelets.append(
+            Shapelet(
+                series[offset * omega : stop].copy(),
+                alpha=alpha,
+                omega=omega,
+                pattern=index.row_text(length, row),
+                source_index=instance,
+                symbol_offset=offset,
+            )
+        )
     train = FeatureMatrix(_distance_matrix(_shared_rows(real_train), shapelets), shapelets)
     test = FeatureMatrix(_distance_matrix(_shared_rows(real_test), shapelets), list(shapelets))
     return train, test

@@ -243,6 +243,21 @@ def test_trie_dump_impossible_threshold_exit_2(capsys, data_paths):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["run", "trie-dump"])
+@pytest.mark.parametrize("setting", ["--tau=nan", "--tau=inf", "--smin=nan", "--smin=inf", "--smin=-1"])
+def test_sampler_settings_validated_by_run_and_trie_dump(capsys, data_paths, tmp_path, command, setting):
+    # both subcommands check their settings by building a PipelineConfig
+    train, test = data_paths
+    if command == "run":
+        argv = ["run", train, test, "--out", str(tmp_path / "out"), setting]
+    else:
+        argv = ["trie-dump", train, "--alpha", "3", "--omega", "6", setting]
+    code, stdout, stderr = _run(capsys, argv)
+    assert code == 1
+    assert stdout == ""
+    assert stderr.startswith("error: ") and "must be finite" in stderr
+
+
 def test_trie_dump_all_weights_underflow_prints_trie(capsys, tmp_path):
     # weak motifs under unit noise: the best quality stays below 0.2256,
     # whose weight q**(1/0.002) already underflows to 0.0; the cell is

@@ -233,7 +233,7 @@ def test_discretize_alignment_and_dump():
     )
     d = discretize(ds, SaxParams(2, 4))
     assert d.n_instances == 2
-    assert d.strings[0] == "bb"  # 0 sits on the lone breakpoint and maps right
+    assert sax_text(d.codes[0]) == "bb"  # 0 sits on the lone breakpoint and maps right
     text = dump_text(d, ds.labels)
     lines = text.splitlines()
     assert lines[0].startswith("x\t")

@@ -50,14 +50,14 @@ def _assert_matches_oracle(strings, alpha, l_max):
     for pat, entry in oracle.items():
         vec = index.presence_vector(pat)
         assert set(np.nonzero(vec)[0]) == entry["instances"]
-        assert index.first_occurrence(pat) == entry["first"]
+        assert index.occurrence(len(pat), index.row_of(pat)) == entry["first"]
 
 
 def test_build_two_identical_strings():
     index = PatternIndex.build(_dataset(["ab", "ab"], 2), 2)
     assert index.distinct_patterns(2) == {"ab"}
     assert index.presence_vector("ab").tolist() == [True, True]
-    assert index.first_occurrence("ab") == (0, 0)
+    assert index.occurrence(2, index.row_of("ab")) == (0, 0)
 
 
 def test_build_hand_enumerated():
@@ -75,31 +75,29 @@ def test_repeats_deduplicate():
     index = PatternIndex.build(_dataset(["aaaa"], 2), 3)
     assert index.distinct_patterns(2) == {"aa"}
     assert index.distinct_patterns(3) == {"aaa"}
-    assert index.first_occurrence("aa") == (0, 0)
-    assert index.first_occurrence("aaa") == (0, 0)
+    assert index.occurrence(2, index.row_of("aa")) == (0, 0)
+    assert index.occurrence(3, index.row_of("aaa")) == (0, 0)
 
 
 def test_first_occurrence_examples():
     index = PatternIndex.build(_dataset(["abc", "bcd"], 4), 3)
-    assert index.first_occurrence("bc") == (0, 1)
-    assert index.first_occurrence("bcd") == (1, 0)
+    assert index.occurrence(2, index.row_of("bc")) == (0, 1)
+    assert index.occurrence(3, index.row_of("bcd")) == (1, 0)
     index2 = PatternIndex.build(_dataset(["abab"], 2), 2)
-    assert index2.first_occurrence("ab") == (0, 0)
+    assert index2.occurrence(2, index2.row_of("ab")) == (0, 0)
 
 
 def test_unknown_pattern_presence_is_zero_not_error():
     index = PatternIndex.build(_dataset(["abc", "bcd"], 4), 3)
     assert not index.presence_vector("dd").any()
-    with pytest.raises(KeyError):
-        index.first_occurrence("dd")
+    assert index.row_of("dd") is None
 
 
 @pytest.mark.parametrize("pattern", ["zz", "az", "za", "dz", "Ab", "b!"])
 def test_out_of_alphabet_pattern_is_absent(pattern):
     index = PatternIndex.build(_dataset(["abcd", "dcba"], 4), 3)
     assert index.presence_vector(pattern).tolist() == [False, False]
-    with pytest.raises(KeyError):
-        index.first_occurrence(pattern)
+    assert index.row_of(pattern) is None
 
 
 def test_length_out_of_range():

@@ -1,6 +1,9 @@
+import time
+
 import numpy as np
 import pytest
 
+from ps2c import pipeline
 from ps2c.dataset import LabeledDataset, znormalize_dataset
 from ps2c.discretizer import SaxParams, discretize
 from ps2c.pattern_index import PatternIndex
@@ -51,6 +54,11 @@ def test_config_validation():
         PipelineConfig(omegas=(0,))
     with pytest.raises(ValueError):
         PipelineConfig(tau=0.0)
+    for value in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            PipelineConfig(tau=value)
+        with pytest.raises(ValueError, match="finite"):
+            PipelineConfig(s_min=value)
     with pytest.raises(ValueError):
         PipelineConfig(k=0)
     with pytest.raises(ValueError):
@@ -100,6 +108,28 @@ def test_threads_do_not_change_output():
     assert np.array_equal(seq.train.values, par.train.values)
     assert np.array_equal(seq.test.values, par.test.values)
     assert seq.train.column_tags() == par.train.column_tags()
+
+
+def test_failing_cell_stops_threaded_grid(monkeypatch):
+    # pending cells are cancelled once one raises; only cells already
+    # picked up by a worker may still run
+    train, test = _planted(8, 48)
+    started = []
+    run_cell = pipeline._run_cell
+
+    def spy(alpha, omega, *args):
+        started.append((alpha, omega))
+        if (alpha, omega) == (2, 2):
+            raise RuntimeError("cell failed")
+        time.sleep(0.01)
+        return run_cell(alpha, omega, *args)
+
+    monkeypatch.setattr(pipeline, "_run_cell", spy)
+    n_threads = 2
+    with pytest.raises(RuntimeError, match="cell failed"):
+        fit_transform(train, test, PipelineConfig(), n_threads=n_threads)
+    assert (2, 2) in started
+    assert len(started) - 1 <= n_threads
 
 
 def test_block_order_ascending_alpha_omega():

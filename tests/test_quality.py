@@ -120,6 +120,9 @@ def test_scale_examples():
     assert scale(0.8, 1.0) == pytest.approx(0.8, abs=1e-12)
     with pytest.raises(ValueError):
         scale(0.5, 0.0)
+    for tau in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            scale(0.5, tau)
     with pytest.raises(ValueError):
         scale(1.5, 0.5)
 

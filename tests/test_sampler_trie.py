@@ -83,6 +83,10 @@ def test_insert_rejects_bad_input():
     assert build({"ab": 0.5}).pattern_count == 1
     with pytest.raises(ValueError):
         build([("ab", 0.5), ("ab", 0.5)])  # duplicate
+    nan, inf = float("nan"), float("inf")
+    for tau, s_min in ((nan, 0.3), (inf, 0.3), (1.0, nan), (1.0, inf)):
+        with pytest.raises(ValueError, match="finite"):
+            SamplerTrie.from_patterns(_index_of({}), {}, tau=tau, s_min=s_min)
 
 
 @given(

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ps2c.dataset import LabeledDataset
-from ps2c.discretizer import SaxParams, discretize
+from ps2c.discretizer import SaxParams, discretize, sax_text
 from ps2c.pattern_index import PatternIndex
 from ps2c.sampler_trie import SamplerTrie
 from ps2c.shapelet_transform import (
@@ -18,7 +18,6 @@ from ps2c.shapelet_transform import (
     _shared_rows,
     create_feature_sets,
     min_distance,
-    reverse_lookup,
 )
 
 LETTERS = "abcdefghijklmnopqrstuvwxyz"
@@ -52,14 +51,25 @@ def _index_for(dataset, params, l_max):
     return d, PatternIndex.build(d, l_max)
 
 
+def _ground(pattern, ds, d, index):
+    """The shapelet create_feature_sets grounds from a sampler holding only ``pattern``."""
+    trie = SamplerTrie.from_patterns(index, {pattern: 1.0}, tau=1.0, s_min=0.0)
+    train, _ = create_feature_sets(ds, ds, d, index, trie, 1, np.random.default_rng(0))
+    return train.shapelets[0]
+
+
+def _first_occurrence(index, pattern):
+    return index.occurrence(len(pattern), index.row_of(pattern))
+
+
 def test_reverse_lookup_unit_window_identity():
     # at omega=1 shapelet positions coincide with symbol positions
     series = np.array([5.0, -5.0, 5.0, -5.0, 0.2, 0.3, 0.4, 5.0])
     ds = LabeledDataset((series, -series), ("1", "2"))
     d, index = _index_for(ds, SaxParams(4, 1), 4)
-    pattern = d.strings[0][3:7]
-    sh = reverse_lookup(pattern, ds, d, index)
-    first_inst, first_off = index.first_occurrence(pattern)
+    pattern = sax_text(d.codes[0])[3:7]
+    sh = _ground(pattern, ds, d, index)
+    first_inst, first_off = _first_occurrence(index, pattern)
     src = ds.series[first_inst]
     assert np.array_equal(sh.values, src[first_off : first_off + 4])
     assert sh.omega == 1 and sh.pattern == pattern
@@ -71,9 +81,9 @@ def test_reverse_lookup_window_arithmetic():
     series = rng.normal(size=40)
     ds = LabeledDataset((series, rng.normal(size=40)), ("1", "2"))
     d, index = _index_for(ds, SaxParams(6, 4), 10)
-    pattern = d.strings[0][2:5]
-    inst, off = index.first_occurrence(pattern)
-    sh = reverse_lookup(pattern, ds, d, index)
+    pattern = sax_text(d.codes[0])[2:5]
+    inst, off = _first_occurrence(index, pattern)
+    sh = _ground(pattern, ds, d, index)
     assert sh.values.size == 12
     assert np.array_equal(sh.values, ds.series[inst][off * 4 : off * 4 + 12])
 
@@ -84,9 +94,9 @@ def test_reverse_lookup_tail_truncation():
     series = np.arange(10.0)
     ds = LabeledDataset((series, -series), ("1", "2"))
     d, index = _index_for(ds, SaxParams(2, 4), 3)
-    pattern = d.strings[0][1:3]
-    inst, off = index.first_occurrence(pattern)
-    sh = reverse_lookup(pattern, ds, d, index)
+    pattern = sax_text(d.codes[0])[1:3]
+    inst, off = _first_occurrence(index, pattern)
+    sh = _ground(pattern, ds, d, index)
     if inst == 0 and off == 1:
         assert sh.values.size == 6  # [4..10), not [4..12)
         assert np.array_equal(sh.values, series[4:10])
