@@ -45,6 +45,12 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
 
 
+class _HelpFormatter(argparse.ArgumentDefaultsHelpFormatter):
+    # a flag whose default is None states its default in its own help
+    def _get_help_string(self, action):
+        return action.help if action.default is None else super()._get_help_string(action)
+
+
 class _StderrHandler(logging.StreamHandler):
     """Writes to ``sys.stderr`` as it is at each record, not at set-up."""
 
@@ -244,7 +250,9 @@ def cmd_bench(args) -> int:
             for cell in merged.skipped:
                 cell.log()
             cells = merged.cell_seconds
-            fit_seconds = merged.timings["znormalize"] + cells["discretize"] + cells["fit_sampler"]
+            fit_seconds = merged.timings["znormalize"] + sum(
+                cells[phase] for phase in ("discretize", "index", "score")
+            )
             rows.append(
                 {
                     "n_instances": 2 * per_class,
@@ -279,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
         "run",
         parents=[common],
         help="run the full pipeline on a train/test pair",
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter,
+        formatter_class=_HelpFormatter,
     )
     p_run.add_argument("train", help="training split file")
     p_run.add_argument("test", help="test split file")
@@ -297,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
         "discretize",
         parents=[common],
         help="print one symbolic string per instance",
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter,
+        formatter_class=_HelpFormatter,
     )
     p_disc.add_argument("train", help="dataset file")
     p_disc.add_argument("--alpha", type=int, required=True, help="alphabet size")
@@ -308,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
         "trie-dump",
         parents=[common],
         help="fit one grid cell's sampler and print the weighted trie",
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter,
+        formatter_class=_HelpFormatter,
     )
     p_trie.add_argument("train", help="dataset file")
     p_trie.add_argument("--alpha", type=int, required=True, help="alphabet size")
@@ -320,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
         "bench",
         parents=[common],
         help="time fit+transform on planted synthetic datasets",
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter,
+        formatter_class=_HelpFormatter,
     )
     p_bench.add_argument("--sizes", type=_int_list, required=True, metavar="LIST",
                          help="total training instances per run, comma-separated")

@@ -19,9 +19,10 @@ mostly merges runs that are in order and no rank is scattered back.
 A pattern is named by its (length, row): its earliest occurrence is
 queried by that handle alone, and its text is sliced from it. Text is
 looked up only by ``row_of``, which binary-searches the sorted rows.
-Scoring reads a length's table as one (patterns, classes) array of
-presence counts, derived from the CSR presence pairs, and works on it
-one class column at a time.
+Scoring reads each pattern's per-class presence counts from the CSR
+presence pairs, either as one mixed-radix code per pattern
+(``presence_codes``) or as a (patterns, classes) array
+(``presence_counts``).
 """
 
 from __future__ import annotations
@@ -172,6 +173,16 @@ class PatternIndex:
             minlength=table.n_patterns * n_classes,
         )
         return flat.reshape(table.n_patterns, n_classes)
+
+    def presence_codes(self, length: int, instance_weight: np.ndarray) -> np.ndarray:
+        """(n_patterns,) sums of ``instance_weight`` over each row's instances.
+
+        Weighting each instance by its class's stride in ``chi2_table``
+        makes a row's sum the code of its per-class presence counts.
+        """
+        table = self._tables[length]
+        # every row owns at least one pair, so no reduceat segment is empty
+        return np.add.reduceat(instance_weight[table.pair_instance], table.pair_starts[:-1])
 
     def row_text(self, length: int, row: int) -> str:
         """The pattern in a row, sliced from its first occurrence."""

@@ -44,7 +44,7 @@ logger = logging.getLogger(__name__)
 
 # Seconds of these phases are summed over cells, so with several threads
 # they can exceed the grid's wall time.
-CELL_PHASES = ("discretize", "fit_sampler", "transform")
+CELL_PHASES = ("discretize", "index", "score", "transform")
 
 
 class NoPatternsError(RuntimeError):
@@ -139,9 +139,11 @@ def _run_cell(
     timings["discretize"] = t1 - t0
 
     index = PatternIndex.build(dtrain, config.l_max)
-    trie = fit_sampler(dtrain, index, ztrain.labels, config.l_max, config.s_min, config.tau)
     t2 = time.perf_counter()
-    timings["fit_sampler"] = t2 - t1
+    timings["index"] = t2 - t1
+    trie = fit_sampler(dtrain, index, ztrain.labels, config.l_max, config.s_min, config.tau)
+    t3 = time.perf_counter()
+    timings["score"] = t3 - t2
     if trie.is_empty:
         return _CellOutcome(alpha, omega, None, None, timings, "no pattern reached s_min")
 
@@ -150,7 +152,7 @@ def _run_cell(
     train_fm, test_fm = create_feature_sets(
         ztrain, ztest, dtrain, index, trie, config.k, rng
     )
-    timings["transform"] = time.perf_counter() - t2
+    timings["transform"] = time.perf_counter() - t3
     return _CellOutcome(alpha, omega, train_fm, test_fm, timings)
 
 

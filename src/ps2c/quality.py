@@ -5,16 +5,19 @@ table, normalised by the instance count into (0, 1], then biased
 toward strong patterns by temperature scaling q**(1/tau).
 ``chi2_normalized_many`` scores every pattern of a length at once, one
 class column at a time; ``pattern_quality`` is the same computation for
-a single presence vector.
+a single presence vector. A score depends only on the per-class counts,
+so ``chi2_table`` scores every possible count vector of a training
+split once, and a pattern's score is one lookup by its count code.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
-__all__ = ["scale", "pattern_quality", "chi2_normalized_many"]
+__all__ = ["scale", "pattern_quality", "chi2_normalized_many", "chi2_table"]
 
 
 def scale(q: float, tau: float) -> float:
@@ -102,3 +105,24 @@ def chi2_normalized_many(present: np.ndarray, class_sizes: np.ndarray) -> np.nda
     stat[(total_present == 0) | (total_absent == 0)] = 0.0
     # every term is non-negative, so only the upper clamp can act
     return np.minimum(stat, 1.0, out=stat)
+
+
+@functools.lru_cache(maxsize=8)
+def chi2_table(class_sizes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Strides and scores of every per-class count vector, both read-only.
+
+    The counts (a_0, ..., a_{C-1}), 0 <= a_c <= class_sizes[c], have the
+    code sum(a_c * strides[c]) in mixed-radix order, last class fastest,
+    and ``table[code]`` is their ``chi2_normalized_many`` score. Rows
+    are scored independently, so an entry has the bits of scoring its
+    counts alone. The table holds prod(n_c + 1) entries; it is memoised
+    per class-size tuple, so a training split builds it once.
+    """
+    shape = tuple(n + 1 for n in class_sizes)
+    counts = np.indices(shape).reshape(len(shape), -1).T
+    table = chi2_normalized_many(counts, np.array(class_sizes))
+    # the code of the unit count vector of each class
+    strides = np.cumprod((1,) + shape[:0:-1])[::-1].astype(np.int64)
+    table.setflags(write=False)
+    strides.setflags(write=False)
+    return strides, table

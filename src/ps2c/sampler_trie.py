@@ -24,9 +24,16 @@ import math
 import numpy as np
 
 from .pattern_index import PatternIndex
-from .quality import chi2_normalized_many, scale
+from .quality import chi2_normalized_many, chi2_table, scale
 
 __all__ = ["SamplerTrie", "fit_sampler"]
+
+
+def _check_settings(tau: float, s_min: float) -> None:
+    if not 0 < tau < math.inf:
+        raise ValueError(f"tau must be finite and positive, got {tau}")
+    if not 0 <= s_min < math.inf:
+        raise ValueError(f"s_min must be finite and >= 0, got {s_min}")
 
 
 class SamplerTrie:
@@ -37,10 +44,7 @@ class SamplerTrie:
     """
 
     def __init__(self, tau: float, s_min: float, index: PatternIndex, lengths, rows, q):
-        if not 0 < tau < math.inf:
-            raise ValueError(f"tau must be finite and positive, got {tau}")
-        if not 0 <= s_min < math.inf:
-            raise ValueError(f"s_min must be finite and >= 0, got {s_min}")
+        _check_settings(tau, s_min)
         self.tau = tau
         self.s_min = s_min
         self.index = index
@@ -58,6 +62,7 @@ class SamplerTrie:
         Each pattern needs length >= 2, an occurrence in the index and a
         quality q > 0 with q >= s_min, and may appear only once.
         """
+        _check_settings(tau, s_min)
         stored: dict[tuple[int, int], float] = {}
         for pattern, q in patterns.items() if hasattr(patterns, "items") else patterns:
             if len(pattern) < 2:
@@ -177,6 +182,13 @@ def fit_sampler(
     normalised chi-square; patterns reaching s_min (and strictly above
     0) are kept, the rest discarded. The returned sampler may be empty,
     in which case the caller skips this (alpha, omega) cell.
+
+    A score depends only on the pattern's per-class presence counts, so
+    when the split has no more possible count vectors, prod(n_c + 1),
+    than the cell has patterns, each pattern's score is looked up in
+    ``chi2_table`` by its count code. Otherwise (many classes) each
+    length's count array is scored by ``chi2_normalized_many``. Both
+    give the same bits.
     """
     if index.l_max != l_max:
         raise ValueError(
@@ -190,10 +202,19 @@ def fit_sampler(
     class_of = np.array([class_ids[c] for c in labels], dtype=np.int64)
     class_sizes = np.bincount(class_of, minlength=len(classes))
 
+    sizes = tuple(int(n) for n in class_sizes)
+    table = None
+    if math.prod(n + 1 for n in sizes) <= sum(map(index.pattern_count, index.lengths())):
+        strides, table = chi2_table(sizes)
+        instance_stride = strides[class_of]
+
     lengths, rows, qs = [np.empty(0, np.int64)], [np.empty(0, np.int64)], [np.empty(0)]
     for length in index.lengths():
-        counts = index.presence_counts(length, class_of, len(classes))
-        q = chi2_normalized_many(counts, class_sizes)
+        if table is None:
+            counts = index.presence_counts(length, class_of, len(classes))
+            q = chi2_normalized_many(counts, class_sizes)
+        else:
+            q = table[index.presence_codes(length, instance_stride)]
         accepted = np.nonzero((q >= s_min) & (q > 0.0))[0]
         lengths.append(np.full(accepted.size, length, dtype=np.int64))
         rows.append(accepted)

@@ -128,7 +128,7 @@ def test_run_timings_separate_wall_and_cell_seconds(data_paths, capsys, tmp_path
     total = timings.pop("total_seconds")
     assert set(timings) == {"znormalize", "grid", "train"}
     assert sum(timings.values()) <= total
-    assert set(cell_seconds) == {"discretize", "fit_sampler", "transform"}
+    assert set(cell_seconds) == {"discretize", "index", "score", "transform"}
 
 
 def test_run_threads_1_and_2_byte_identical(data_paths, capsys, tmp_path):
@@ -436,3 +436,4 @@ def test_help_lists_flags_with_defaults(capsys):
                  "--seed", "--resamples", "--threads", "--out"):
         assert flag in text
     assert "0.05" in text and "0.5" in text and "20" in text
+    assert "(default: None)" not in text

@@ -167,6 +167,19 @@ def test_presence_counts_matches_presence_vectors():
             assert counts[row, 1] == int(vec[class_of == 1].sum())
 
 
+def test_presence_codes_sum_weights_of_present_instances():
+    rng = np.random.default_rng(5)
+    strings = ["".join(rng.choice(list("abcd"), size=rng.integers(2, 25))) for _ in range(12)]
+    weights = rng.integers(1, 1000, size=len(strings))
+    index = PatternIndex.build(_dataset(strings, 4), 5)
+    for l in index.lengths():
+        codes = index.presence_codes(l, weights)
+        assert codes.shape == (index.pattern_count(l),)
+        for row in range(index.pattern_count(l)):
+            vec = index.presence_vector(index.row_text(l, row))
+            assert codes[row] == weights[vec].sum()
+
+
 def test_empty_index_when_all_strings_short():
     index = PatternIndex.build(_dataset(["a", "b"], 2), 5)
     assert index.lengths() == []

@@ -326,7 +326,7 @@ def test_wall_timings_fit_in_total_with_two_threads():
     res = run_experiment(train, test, PipelineConfig(), n_resamples=2, n_threads=2)
     assert set(res.timings) == {"znormalize", "grid", "train"}
     assert sum(res.timings.values()) <= res.total_seconds
-    assert set(res.cell_seconds) == {"discretize", "fit_sampler", "transform"}
+    assert set(res.cell_seconds) == {"discretize", "index", "score", "transform"}
     assert all(seconds > 0 for seconds in res.cell_seconds.values())
 
 

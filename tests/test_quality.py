@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2_contingency
 
-from ps2c.quality import chi2_normalized_many, pattern_quality, scale
+from ps2c.quality import chi2_normalized_many, chi2_table, pattern_quality, scale
 
 
 def test_contingency_examples():
@@ -195,3 +195,20 @@ def test_contingency_table_invariants():
     q = chi2_normalized_many(np.array([[3, 1]]), np.array([5, 5]))[0]
     assert q * 10 == pytest.approx(5 / 3, abs=1e-12)
     assert pattern_quality([1, 1, 1, 0, 0, 1, 0, 0, 0, 0], ["A"] * 5 + ["B"] * 5) == q
+
+
+@given(st.lists(st.integers(1, 7), min_size=2, max_size=6), st.data())
+@settings(max_examples=100, deadline=None)
+def test_table_lookup_matches_direct_score_bitwise(class_sizes, data):
+    strides, table = chi2_table(tuple(class_sizes))
+    assert table.size == math.prod(n + 1 for n in class_sizes)
+    rows = data.draw(
+        st.lists(st.tuples(*(st.integers(0, n) for n in class_sizes)), min_size=1, max_size=30)
+    )
+    present = np.array(rows)
+    direct = chi2_normalized_many(present, np.array(class_sizes))
+    assert table[present @ strides].tobytes() == direct.tobytes()
+    # the all-absent and all-present vectors sit at the two ends of the table
+    assert table[0] == table[-1] == 0.0
+    assert int(np.array(class_sizes) @ strides) == table.size - 1
+    assert not table.flags.writeable and not strides.flags.writeable

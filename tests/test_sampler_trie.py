@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from ps2c.discretizer import DiscretizedDataset, SaxParams
 from ps2c.pattern_index import PatternIndex
-from ps2c.quality import pattern_quality, scale
+from ps2c.quality import chi2_normalized_many, chi2_table, pattern_quality, scale
 from ps2c.sampler_trie import SamplerTrie, fit_sampler
 
 LETTERS = "abcdefghijklmnopqrstuvwxyz"
@@ -85,8 +85,9 @@ def test_insert_rejects_bad_input():
         build([("ab", 0.5), ("ab", 0.5)])  # duplicate
     nan, inf = float("nan"), float("inf")
     for tau, s_min in ((nan, 0.3), (inf, 0.3), (1.0, nan), (1.0, inf)):
-        with pytest.raises(ValueError, match="finite"):
-            SamplerTrie.from_patterns(_index_of({}), {}, tau=tau, s_min=s_min)
+        for patterns in ({}, {"ab": 0.5}):
+            with pytest.raises(ValueError, match="finite"):
+                SamplerTrie.from_patterns(_index_of(patterns), patterns, tau=tau, s_min=s_min)
 
 
 @given(
@@ -362,6 +363,50 @@ def test_fit_sampler_checks_lmax_alignment():
     index = PatternIndex.build(ds, 3)
     with pytest.raises(ValueError):
         fit_sampler(ds, index, ["1", "2"], 4, 0.05, 0.5)
+
+
+def _fit_reference(index, labels, s_min):
+    """Per-length chi2_normalized_many of the (patterns, classes) counts."""
+    classes = sorted(set(labels))
+    class_of = np.array([classes.index(c) for c in labels])
+    sizes = np.bincount(class_of)
+    lengths, rows, qs = [], [], []
+    for l in index.lengths():
+        q = chi2_normalized_many(index.presence_counts(l, class_of, sizes.size), sizes)
+        accepted = np.nonzero((q >= s_min) & (q > 0.0))[0]
+        lengths += [l] * accepted.size
+        rows += accepted.tolist()
+        qs.append(q[accepted])
+    return np.array(lengths, np.int64), np.array(rows, np.int64), np.concatenate(qs)
+
+
+@pytest.mark.parametrize(
+    "n_classes, per_class, table_path",
+    [(2, 6, True), (8, 2, False)],  # prod(n_c + 1): 49 and 3**8 = 6561
+)
+@pytest.mark.parametrize("s_min", [0.0, 0.3])
+def test_fit_sampler_scores_match_per_length_reference(
+    monkeypatch, n_classes, per_class, table_path, s_min
+):
+    rng = np.random.default_rng(n_classes)
+    strings = ["".join(rng.choice(list("abc"), size=rng.integers(8, 30))) for _ in
+               range(n_classes * per_class)]
+    labels = [str(i % n_classes) for i in range(len(strings))]
+    ds = _dataset(strings, 3)
+    index = PatternIndex.build(ds, 6)
+    n_patterns = sum(index.pattern_count(l) for l in index.lengths())
+    assert ((per_class + 1) ** n_classes <= n_patterns) == table_path
+    tables = []
+    monkeypatch.setattr(
+        "ps2c.sampler_trie.chi2_table", lambda sizes: tables.append(sizes) or chi2_table(sizes)
+    )
+    trie = fit_sampler(ds, index, labels, 6, s_min, 1.0)
+    assert bool(tables) == table_path
+    lengths, rows, q = _fit_reference(index, labels, s_min)
+    assert trie.pattern_count > 0
+    assert trie.lengths.tobytes() == lengths.tobytes()
+    assert trie.rows.tobytes() == rows.tobytes()
+    assert trie.q.tobytes() == q.tobytes()
 
 
 def test_to_text_mentions_terminals_and_weights():
