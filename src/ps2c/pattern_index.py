@@ -6,16 +6,20 @@ dataset order. Per-length tables stand in for the suffix trees of
 richer implementations; only presence and first occurrence are ever
 queried.
 
-Each length's table comes from one stable sort of that length's
-windows over the flat symbol array, with the renaming of Karp, Miller
-& Rosenberg (1972): the key of a length-l window is the dense
-lexicographic rank of its (l-1)-prefix times alpha plus its last
-symbol. Keys stay below the window count times alpha, so every
-alphabet and length takes the same path, and sorted keys are in
-lexicographic pattern order. The windows stay in that sorted order from
-one length to the next: the next keys then arrive grouped by prefix
-rank, each group already in (instance, offset) order, so the sort
-mostly merges runs that are in order and no rank is scattered back.
+Each length's table comes from one in-place sort of that length's
+windows, renamed as by Karp, Miller & Rosenberg (1972): a length-l
+window's key is the dense lexicographic rank of its (l-1)-prefix times
+alpha plus its last symbol, so every alphabet and length takes the same
+path and sorted keys are in pattern order. In the flat symbol array
+every instance is followed by the separator symbol alpha, so a window
+is valid exactly when its last symbol is below alpha. Key and flat
+start are packed into one int64: starts are unique and in (instance,
+offset) order, so equal keys sort into dataset order and each run of
+equal keys starts at its first occurrence. The packing needs
+bit_length(n) + bit_length(n * alpha) <= 63 for n symbols, separators
+included: fewer than 2**29 symbols at alpha 26, 2**30 at alpha 4 to 8.
+``build`` raises ``ValueError`` beyond that; within it every offset,
+instance and pair count fits the tables' int32.
 A pattern is named by its (length, row): its earliest occurrence is
 queried by that handle alone, and its text is sliced from it. Text is
 looked up only by ``row_of``, which binary-searches the sorted rows.
@@ -39,25 +43,47 @@ __all__ = ["PatternIndex"]
 
 @dataclass
 class _LengthTable:
-    """All distinct patterns of one length.
+    """All distinct patterns of one length, as three int32 arrays.
 
     Rows are sorted lexicographically. The (pattern, instance) presence
     pairs form a CSR layout: row r owns
-    pair_instance[pair_starts[r]:pair_starts[r+1]]. No per-pair row
-    array is stored; ``presence_counts`` expands it from pair_starts.
+    pair_instance[pair_starts[r]:pair_starts[r+1]], in ascending
+    instance order, so a row's first pair holds the instance of its
+    first occurrence and first_offset[r] the offset within it. No
+    per-pair row array is stored; ``presence_counts`` expands it from
+    pair_starts.
     """
 
-    first_instance: np.ndarray
     first_offset: np.ndarray
     pair_instance: np.ndarray
     pair_starts: np.ndarray
 
     @property
     def n_patterns(self) -> int:
-        return self.first_instance.size
+        return self.first_offset.size
+
+    def first_instance(self, row: int) -> int:
+        return int(self.pair_instance[self.pair_starts[row]])
 
     def instances_of(self, row: int) -> np.ndarray:
         return self.pair_instance[self.pair_starts[row] : self.pair_starts[row + 1]]
+
+
+def _key_shift(n_symbols: int, alpha: int) -> int:
+    """Bits that hold a flat start below ``n_symbols`` in a packed key.
+
+    A window's key (prefix rank * alpha + next symbol) stays below
+    n_symbols * alpha (below alpha**2 when there are fewer symbols than
+    letters, far inside the limit), and it sits above the start in one
+    int64, so both widths together may take at most 63 bits.
+    """
+    shift = n_symbols.bit_length()
+    if shift + (n_symbols * alpha).bit_length() > 63:
+        raise ValueError(
+            f"{n_symbols} symbols (separators included) at alpha {alpha} exceed the "
+            "63-bit packed key: bit_length(n) + bit_length(n * alpha) must be <= 63"
+        )
+    return shift
 
 
 class PatternIndex:
@@ -83,51 +109,59 @@ class PatternIndex:
 
         Strings shorter than a given length simply contribute no
         patterns of that length; a dataset with no string of length 2
-        yields an empty index.
+        yields an empty index. Raises ``ValueError`` when the symbols
+        exceed the packed key's width (see ``_key_shift``).
         """
         if l_max < 2:
             raise ValueError(f"l_max must be >= 2, got {l_max}")
         alpha = discretized.params.alpha
         codes = discretized.codes
-        sizes = np.array([c.size for c in codes], dtype=np.int64)
-        ends = np.cumsum(sizes)
-        starts = ends - sizes
-        symbols = np.concatenate([np.empty(0, np.int64), *codes], dtype=np.int64)
+        # each instance is followed by the separator symbol alpha, so a
+        # window is valid exactly when its last symbol is below alpha
+        sizes = np.array([c.size for c in codes], dtype=np.int64) + 1
+        starts = np.cumsum(sizes) - sizes
+        symbols = np.full(int(sizes.sum()), alpha, dtype=np.int64)
+        for start, c in zip(starts, codes):
+            symbols[start : start + c.size] = c
+        shift = _key_shift(symbols.size, alpha)
+        instance_of = np.repeat(np.arange(sizes.size, dtype=np.int32), sizes)
+        offset_of = (np.arange(symbols.size) - np.repeat(starts, sizes)).astype(np.int32)
 
         # the windows of the previous length, sorted by pattern and then
-        # by (instance, offset): start position, instance, and dense
-        # lexicographic rank (at length 1 the windows are in flat order
-        # and the rank is the symbol itself)
-        pos = np.arange(symbols.size)
-        inst = np.repeat(np.arange(sizes.size), sizes)
-        rank = symbols
+        # by flat start, which is (instance, offset) order: start and
+        # dense lexicographic rank (at length 1 the windows are in flat
+        # order and the rank is the symbol itself)
+        pos = np.flatnonzero(symbols < alpha)
+        rank = symbols[pos]
         tables: dict[int, _LengthTable] = {}
         for length in range(2, l_max + 1):
-            # a window stays valid while its last symbol lies in its instance
-            keep = pos + (length - 1) < ends[inst]
-            pos, inst, rank = pos[keep], inst[keep], rank[keep]
-            if pos.size == 0:
+            last = symbols[pos + (length - 1)]
+            # starts are unique and in (instance, offset) order, so the
+            # packed (key, start) values sort equal keys into dataset order
+            packed = rank * alpha
+            packed += last
+            packed <<= shift
+            packed |= pos
+            packed = packed[last < alpha]
+            if packed.size == 0:
                 break
-            # keys arrive grouped by ascending prefix rank, each group in
-            # (instance, offset) order, so the stable sort only merges
-            # runs and each run of equal keys starts at its first occurrence
-            key = rank * alpha + symbols[pos + (length - 1)]
-            order = np.argsort(key, kind="stable")
-            key, pos, inst = key[order], pos[order], inst[order]
-            new_pattern = np.ones(key.size, dtype=bool)
+            packed.sort()
+            pos = packed & ((1 << shift) - 1)
+            key = np.right_shift(packed, shift, out=packed)
+            inst = instance_of[pos]
+            new_pattern = np.empty(key.size, dtype=bool)
+            new_pattern[0] = True
             np.not_equal(key[1:], key[:-1], out=new_pattern[1:])
             new_pair = new_pattern.copy()
             new_pair[1:] |= inst[1:] != inst[:-1]
-            rank = np.cumsum(new_pattern) - 1
+            rank = np.cumsum(new_pattern)
+            rank -= 1
 
-            first_instance = inst[new_pattern]
             pair_instance = inst[new_pair]
-            tables[length] = _LengthTable(
-                first_instance,
-                pos[new_pattern] - starts[first_instance],
-                pair_instance,
-                np.append(np.flatnonzero(new_pattern[new_pair]), pair_instance.size),
-            )
+            pair_starts = np.empty(rank[-1] + 2, dtype=np.int32)  # rows + 1
+            pair_starts[:-1] = np.flatnonzero(new_pattern[new_pair])
+            pair_starts[-1] = pair_instance.size
+            tables[length] = _LengthTable(offset_of[pos[new_pattern]], pair_instance, pair_starts)
         return cls(discretized, l_max, tables)
 
     # -- queries ---------------------------------------------------------
@@ -161,7 +195,7 @@ class PatternIndex:
     def occurrence(self, length: int, row: int) -> tuple[int, int]:
         """Earliest (instance index, symbol offset) of the pattern in a row."""
         table = self._tables[length]
-        return int(table.first_instance[row]), int(table.first_offset[row])
+        return table.first_instance(row), int(table.first_offset[row])
 
     def presence_counts(self, length: int, class_of: np.ndarray, n_classes: int) -> np.ndarray:
         """(n_patterns, n_classes) per-class presence counts for one length."""
@@ -188,7 +222,7 @@ class PatternIndex:
         """The pattern in a row, sliced from its first occurrence."""
         table = self._tables[length]
         offset = table.first_offset[row]
-        return sax_text(self._codes[table.first_instance[row]][offset : offset + length])
+        return sax_text(self._codes[table.first_instance(row)][offset : offset + length])
 
     def row_of(self, pattern: str) -> int | None:
         """The pattern's row in its length's table, or None if it occurs nowhere."""

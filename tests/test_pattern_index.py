@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ps2c.discretizer import DiscretizedDataset, SaxParams
-from ps2c.pattern_index import PatternIndex
+from ps2c import pattern_index
+from ps2c.pattern_index import PatternIndex, _key_shift
 
 LETTERS = string.ascii_lowercase
 
@@ -128,15 +129,22 @@ def test_distinct_substring_count_formula():
         assert index.pattern_count(l) == m - l + 1
 
 
-@given(
-    st.lists(
-        st.text(alphabet="abcd", min_size=1, max_size=30), min_size=1, max_size=20
-    ),
-    st.integers(2, 6),
-)
+@st.composite
+def _strings_over_alphabet(draw):
+    # the separators and the packed key's width depend on alpha, the
+    # string count and the string lengths, empty and 1-symbol included
+    alpha = draw(st.integers(2, 26))
+    strings = draw(
+        st.lists(st.text(alphabet=LETTERS[:alpha], max_size=30), min_size=1, max_size=20)
+    )
+    return strings, alpha
+
+
+@given(_strings_over_alphabet(), st.integers(2, 6))
 @settings(max_examples=120, deadline=None)
-def test_oracle_equivalence_random(strings, l_max):
-    _assert_matches_oracle(strings, 4, l_max)
+def test_oracle_equivalence_random(strings_alpha, l_max):
+    strings, alpha = strings_alpha
+    _assert_matches_oracle(strings, alpha, l_max)
 
 
 def test_oracle_equivalence_alpha_26_l_max_20():
@@ -151,6 +159,47 @@ def test_oracle_equivalence_alpha_26_l_max_20():
     _assert_matches_oracle(strings, 26, 20)
     index = PatternIndex.build(_dataset(strings, 26), 20)
     assert index.lengths() == list(range(2, 21))
+
+
+def test_tables_are_three_int32_arrays():
+    # rows P and pairs Q take 4 * (2P + Q + 1) bytes: first_offset (P),
+    # pair_starts (P + 1) and pair_instance (Q), nothing else
+    strings = ["abcab", "bcabc", "aabba", "cabca", "", "c", "abcabcabc"]
+    index = PatternIndex.build(_dataset(strings, 3), 6)
+    assert index.lengths() == [2, 3, 4, 5, 6]
+    for l in index.lengths():
+        table = index._tables[l]
+        arrays = list(vars(table).values())
+        assert all(a.dtype == np.int32 for a in arrays)
+        rows = index.pattern_count(l)
+        pairs = sum(int(index.presence_vector(index.row_text(l, r)).sum()) for r in range(rows))
+        assert sum(a.nbytes for a in arrays) == 4 * (2 * rows + pairs + 1)
+
+
+@pytest.mark.parametrize(
+    "alpha, largest", [(2, 2**31 - 1), (3, 1431655765), (4, 2**30 - 1), (26, 2**29 - 1)]
+)
+def test_key_width_guard(alpha, largest):
+    # the largest symbol count whose packed (key, start) fits in 63 bits
+    shift = _key_shift(largest, alpha)
+    max_key = largest * alpha - 1
+    assert (max_key << shift | (largest - 1)) < 2**63
+    assert largest - 1 < 2**shift
+    with pytest.raises(ValueError, match="63-bit packed key"):
+        _key_shift(largest + 1, alpha)
+
+
+def test_build_checks_key_width_of_symbols_and_separators(monkeypatch):
+    calls = []
+
+    def spy(n_symbols, alpha):
+        calls.append((n_symbols, alpha))
+        return _key_shift(n_symbols, alpha)
+
+    monkeypatch.setattr(pattern_index, "_key_shift", spy)
+    PatternIndex.build(_dataset(["abc", "", "d"], 4), 3)
+    # 4 letters and one separator after each of the 3 instances
+    assert calls == [(7, 4)]
 
 
 def test_presence_counts_matches_presence_vectors():
