@@ -87,20 +87,11 @@ def _int_list(text: str) -> list[int]:
 
 
 def _resolve_threads(value) -> int:
-    if value is not None:
-        if value < 1:
-            raise ValueError(f"--threads must be >= 1, got {value}")
-        return value
-    env = os.environ.get("PS2C_THREADS", "").strip()
-    if env:
-        try:
-            n = int(env)
-        except ValueError:
-            raise ValueError(f"PS2C_THREADS must be an integer, got {env!r}")
-        if n < 1:
-            raise ValueError(f"PS2C_THREADS must be >= 1, got {n}")
-        return n
-    return os.cpu_count() or 1
+    if value is None:
+        return os.cpu_count() or 1
+    if value < 1:
+        raise ValueError(f"--threads must be >= 1, got {value}")
+    return value
 
 
 def _config_from(args, **grid) -> PipelineConfig:
@@ -154,6 +145,9 @@ def cmd_run(args) -> int:
     except NoPatternsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_PATTERNS
+    except ValueError as exc:  # e.g. a resample split left with one training class
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
 
     report = build_report(config, result, args.resamples)
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
@@ -225,10 +219,7 @@ def cmd_bench(args) -> int:
             if n < 4:
                 raise ValueError(f"dataset size must be >= 4, got {n}")
         for n in lengths:
-            if n < SynthSpec.motif_length:
-                raise ValueError(
-                    f"series length must be >= the motif length {SynthSpec.motif_length}, got {n}"
-                )
+            SynthSpec(length=n)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
@@ -295,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--resamples", type=int, default=1,
                        help="number of train/test resamples; resample 0 keeps the original split")
     p_run.add_argument("--threads", type=int, default=None,
-                       help="worker threads (default: PS2C_THREADS or all cores)")
+                       help="worker threads (default: all cores)")
     p_run.add_argument("--out", default="ps2c_out", help="artifact output directory")
     p_run.add_argument("--emit-features", action="store_true",
                        help="also write per-resample feature CSVs")

@@ -16,6 +16,7 @@ __all__ = [
     "LabeledDataset",
     "SplitPair",
     "UcrFormatError",
+    "class_codes",
     "load_ucr",
     "save_ucr",
     "znormalize",
@@ -41,6 +42,14 @@ def _as_series(values) -> np.ndarray:
         raise ValueError("time series values must be finite")
     arr.flags.writeable = False
     return arr
+
+
+def class_codes(labels) -> tuple[tuple[str, ...], np.ndarray]:
+    """The classes, as sorted distinct label strings, and each label's (N,) int64 class id."""
+    labels = [str(c) for c in labels]
+    classes = tuple(sorted(set(labels)))
+    ids = {c: i for i, c in enumerate(classes)}
+    return classes, np.array([ids[c] for c in labels], dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -135,28 +144,33 @@ def load_ucr(path) -> LabeledDataset:
     Fields are separated by commas if the first line has one, else by
     any whitespace (the classic UCR ``.txt`` and UCR-2018 ``.tsv``
     layouts). Line lengths may differ; trailing ``NaN``, which pads
-    shorter series in the UCR-2018 archive, is dropped.
+    shorter series in the UCR-2018 archive, is dropped, and so are
+    empty fields after a line's last comma-separated value.
 
     Raises
     ------
     UcrFormatError
-        Empty file, a line with fewer than two values, a non-numeric
-        token, a non-finite value other than trailing NaN, or fewer than
-        two instances/classes.
+        Empty file, a line with fewer than two values, an empty field
+        before a line's last value, a non-numeric token, a non-finite
+        value other than trailing NaN, or fewer than two
+        instances/classes.
     OSError
         The file cannot be read.
     """
     path = Path(path)
     text = path.read_text()
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    lines = [(lineno, ln) for lineno, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if not lines:
         raise UcrFormatError(f"{path}: empty file")
-    delimiter = "," if "," in lines[0] else None  # None: any whitespace
+    delimiter = "," if "," in lines[0][1] else None  # None: any whitespace
     series: list[np.ndarray] = []
     labels: list[str] = []
-    for lineno, line in enumerate(lines, 1):
+    for lineno, line in lines:
         fields = [f.strip() for f in line.strip().split(delimiter)]
-        fields = [f for f in fields if f]
+        while fields and not fields[-1]:
+            fields.pop()
+        if "" in fields:
+            raise UcrFormatError(f"{path}:{lineno}: empty field {fields.index('') + 1}")
         try:
             values = np.array([float(tok) for tok in fields[1:]])
         except ValueError:

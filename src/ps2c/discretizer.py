@@ -45,29 +45,29 @@ class SaxParams:
     omega: int
 
     def __post_init__(self):
-        if not 2 <= self.alpha <= MAX_ALPHA:
-            raise ValueError(f"alpha must be in [2, {MAX_ALPHA}], got {self.alpha}")
-        if self.omega < 1:
-            raise ValueError(f"omega must be >= 1, got {self.omega}")
+        compute_breakpoints(self.alpha)  # raises on an alpha out of range
+        _check_omega(self.omega)
+
+
+def _check_omega(omega: int) -> None:
+    if omega < 1:
+        raise ValueError(f"omega must be >= 1, got {omega}")
 
 
 @lru_cache(maxsize=None)
-def _breakpoints(alpha: int) -> np.ndarray:
+def compute_breakpoints(alpha: int) -> np.ndarray:
+    """Thresholds splitting the N(0,1) density into ``alpha`` equal-mass bins.
+
+    Returns the alpha-1 finite breakpoints in ascending order, read-only;
+    the implicit outer breakpoints are -inf and +inf. Cached per alpha;
+    an alpha outside [2, MAX_ALPHA] raises and is not cached.
+    """
+    if not 2 <= alpha <= MAX_ALPHA:
+        raise ValueError(f"alpha must be in [2, {MAX_ALPHA}], got {alpha}")
     dist = NormalDist()
     betas = np.array([dist.inv_cdf(j / alpha) for j in range(1, alpha)])
     betas.flags.writeable = False
     return betas
-
-
-def compute_breakpoints(alpha: int) -> np.ndarray:
-    """Thresholds splitting the N(0,1) density into ``alpha`` equal-mass bins.
-
-    Returns the alpha-1 finite breakpoints in ascending order; the
-    implicit outer breakpoints are -inf and +inf. Cached per alpha.
-    """
-    if not 2 <= alpha <= MAX_ALPHA:
-        raise ValueError(f"alpha must be in [2, {MAX_ALPHA}], got {alpha}")
-    return _breakpoints(alpha)
 
 
 def paa_length(n, omega: int):
@@ -94,8 +94,7 @@ def _paa_many(series_list, omega: int) -> tuple[np.ndarray, np.ndarray]:
     any other size is averaged per series with the same 1-D ``mean``
     as before, so every value keeps its pairwise-sum bits.
     """
-    if omega < 1:
-        raise ValueError(f"omega must be >= 1, got {omega}")
+    _check_omega(omega)
     lengths = np.array([x.size for x in series_list], dtype=np.int64)
     too_short = np.flatnonzero(lengths < omega)
     if too_short.size:
@@ -122,7 +121,7 @@ def _paa_many(series_list, omega: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _symbolize(paa_values: np.ndarray, alpha: int) -> np.ndarray:
     # symbol j iff beta_{j-1} <= v < beta_j (right-half-open)
-    betas = _breakpoints(alpha)
+    betas = compute_breakpoints(alpha)
     return np.searchsorted(betas, paa_values, side="right").astype(np.uint8)
 
 

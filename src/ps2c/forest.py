@@ -13,6 +13,8 @@ import math
 
 import numpy as np
 
+from .dataset import class_codes
+
 __all__ = ["RandomForest"]
 
 
@@ -137,14 +139,11 @@ class RandomForest:
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] < 1:
             raise ValueError("X must be a 2-D matrix with at least one column")
-        labels = [str(c) for c in labels]
-        if len(labels) != X.shape[0]:
+        self.classes_, y = class_codes(labels)
+        if y.size != X.shape[0]:
             raise ValueError("labels must align with the matrix rows")
-        self.classes_ = tuple(sorted(set(labels)))
         if len(self.classes_) < 2:
             raise ValueError("training labels contain a single class")
-        ids = {c: i for i, c in enumerate(self.classes_)}
-        y = np.array([ids[c] for c in labels], dtype=np.int64)
 
         n, k = X.shape
         m = max(1, int(math.sqrt(k)))

@@ -10,7 +10,6 @@ cannot change any output value.
 from __future__ import annotations
 
 import logging
-import math
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -22,6 +21,7 @@ from .dataset import LabeledDataset, resample_split, znormalize_dataset
 from .discretizer import SaxParams, discretize
 from .forest import RandomForest
 from .pattern_index import PatternIndex
+from .quality import check_settings
 from .sampler_trie import fit_sampler
 from .shapelet_transform import FeatureMatrix, create_feature_sets
 
@@ -72,18 +72,12 @@ class PipelineConfig:
             raise ValueError("alphas must not be empty")
         if not omegas:
             raise ValueError("omegas must not be empty")
-        for a in alphas:
-            if not 2 <= a <= 26:
-                raise ValueError(f"alphabet size must be in [2, 26], got {a}")
-        for w in omegas:
-            if w < 1:
-                raise ValueError(f"window size must be >= 1, got {w}")
+        for alpha in alphas:
+            for omega in omegas:
+                SaxParams(alpha, omega)
         if self.l_max < 2:
             raise ValueError(f"l_max must be >= 2, got {self.l_max}")
-        if not 0 <= self.s_min < math.inf:
-            raise ValueError(f"s_min must be finite and >= 0, got {self.s_min}")
-        if not 0 < self.tau < math.inf:
-            raise ValueError(f"tau must be finite and > 0, got {self.tau}")
+        check_settings(self.tau, self.s_min)
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
         if not 0 <= self.seed < 2**63:

@@ -17,7 +17,17 @@ import math
 
 import numpy as np
 
-__all__ = ["scale", "pattern_quality", "chi2_normalized_many", "chi2_table"]
+from .dataset import class_codes
+
+__all__ = ["check_settings", "scale", "pattern_quality", "chi2_normalized_many", "chi2_table"]
+
+
+def check_settings(tau: float, s_min: float = 0.0) -> None:
+    """Raise unless tau is finite and positive and s_min is finite and >= 0."""
+    if not 0 < tau < math.inf:
+        raise ValueError(f"tau must be finite and positive, got {tau}")
+    if not 0 <= s_min < math.inf:
+        raise ValueError(f"s_min must be finite and >= 0, got {s_min}")
 
 
 def scale(q: float, tau: float) -> float:
@@ -29,8 +39,7 @@ def scale(q: float, tau: float) -> float:
     the next double above it at tau=2. Order is never reversed: q1 < q2
     implies scale(q1, tau) <= scale(q2, tau).
     """
-    if not 0 < tau < math.inf:
-        raise ValueError(f"tau must be finite and positive, got {tau}")
+    check_settings(tau)
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"quality must be in [0, 1], got {q}")
     if q == 0.0:
@@ -43,13 +52,12 @@ def scale(q: float, tau: float) -> float:
 def pattern_quality(presence, labels) -> float:
     """Normalised chi-square of a presence vector against the labels."""
     presence = np.asarray(presence, dtype=bool)
-    labels = np.array([str(c) for c in labels])
-    if presence.size != labels.size:
+    _, class_of = class_codes(labels)
+    if presence.size != class_of.size:
         raise ValueError(
-            f"presence vector ({presence.size}) and labels ({labels.size}) "
+            f"presence vector ({presence.size}) and labels ({class_of.size}) "
             "must be index-aligned"
         )
-    _, class_of = np.unique(labels, return_inverse=True)
     sizes = np.bincount(class_of)
     present = np.bincount(class_of[presence], minlength=sizes.size)
     return float(chi2_normalized_many(present[None, :], sizes)[0])

@@ -23,17 +23,11 @@ import math
 
 import numpy as np
 
+from .dataset import class_codes
 from .pattern_index import PatternIndex
-from .quality import chi2_normalized_many, chi2_table, scale
+from .quality import check_settings, chi2_normalized_many, chi2_table, scale
 
 __all__ = ["SamplerTrie", "fit_sampler"]
-
-
-def _check_settings(tau: float, s_min: float) -> None:
-    if not 0 < tau < math.inf:
-        raise ValueError(f"tau must be finite and positive, got {tau}")
-    if not 0 <= s_min < math.inf:
-        raise ValueError(f"s_min must be finite and >= 0, got {s_min}")
 
 
 class SamplerTrie:
@@ -44,7 +38,7 @@ class SamplerTrie:
     """
 
     def __init__(self, tau: float, s_min: float, index: PatternIndex, lengths, rows, q):
-        _check_settings(tau, s_min)
+        check_settings(tau, s_min)
         self.tau = tau
         self.s_min = s_min
         self.index = index
@@ -62,7 +56,7 @@ class SamplerTrie:
         Each pattern needs length >= 2, an occurrence in the index and a
         quality q > 0 with q >= s_min, and may appear only once.
         """
-        _check_settings(tau, s_min)
+        check_settings(tau, s_min)
         stored: dict[tuple[int, int], float] = {}
         for pattern, q in patterns.items() if hasattr(patterns, "items") else patterns:
             if len(pattern) < 2:
@@ -194,12 +188,9 @@ def fit_sampler(
         raise ValueError(
             f"index was built with l_max={index.l_max}, expected {l_max}"
         )
-    labels = [str(c) for c in labels]
-    if len(labels) != index.n_instances:
+    classes, class_of = class_codes(labels)
+    if class_of.size != index.n_instances:
         raise ValueError("labels must align with the indexed instances")
-    classes = sorted(set(labels))
-    class_ids = {c: i for i, c in enumerate(classes)}
-    class_of = np.array([class_ids[c] for c in labels], dtype=np.int64)
     class_sizes = np.bincount(class_of, minlength=len(classes))
 
     sizes = tuple(int(n) for n in class_sizes)

@@ -85,6 +85,23 @@ def test_run_resamples_below_one_exit_1(data_paths, capsys, tmp_path, resamples)
     assert not out.exists()
 
 
+def test_run_resample_with_one_training_class_exit_1(capsys, tmp_path):
+    # the pooled A has one instance, so resamples 1 and 2 fall back to a
+    # plain shuffle, and at seed 0 one leaves both training instances in one class
+    rng = np.random.default_rng(0)
+    paths = []
+    for name, labels in (("train.csv", ("A", "B")), ("test.csv", ("B",) * 5 + ("C",))):
+        save_ucr(LabeledDataset(tuple(rng.normal(size=32) for _ in labels), labels), tmp_path / name)
+        paths.append(str(tmp_path / name))
+    code, stdout, stderr = _run(
+        capsys, ["run", *paths, "--resamples", "3", "--alphas", "3", "--omegas", "2",
+                 "--out", str(tmp_path / "out")]
+    )
+    assert code == 1
+    assert stdout == ""
+    assert stderr.endswith("error: training split must contain at least two classes\n")
+
+
 def test_run_emit_features(data_paths, capsys, tmp_path):
     train, test = data_paths
     out = tmp_path / "feat"
@@ -397,33 +414,18 @@ def test_warnings_print_once_per_call_and_quiet_prints_none(capsys, monkeypatch)
     assert code == 0
     assert "skipping cell" not in stderr
     code, _, stderr = _run(capsys, ["bench", "--sizes", "8", "--lengths", "4", "--quiet"])
-    assert code == 1 and "motif length 16, got 4" in stderr  # errors still print
+    assert code == 1 and "length 4 is shorter than motif_length 16" in stderr  # errors still print
 
 
 def test_bench_length_below_motif_exit_1(capsys):
     code, _, stderr = _run(capsys, ["bench", "--sizes", "8", "--lengths", "4"])
     assert code == 1
-    assert "motif length 16, got 4" in stderr
+    assert "length 4 is shorter than motif_length 16" in stderr
 
 
 def test_bench_empty_sizes_exit_1(capsys):
     code, _, _ = _run(capsys, ["bench", "--sizes", ""])
     assert code == 1
-
-
-def test_threads_env_fallback(data_paths, capsys, tmp_path, monkeypatch):
-    train, test = data_paths
-    args = ["run", train, test, "--alphas", "3", "--omegas", "3"]
-    code, ref, _ = _run(capsys, args + ["--threads", "1", "--out", str(tmp_path / "a")])
-    assert code == 0
-    monkeypatch.setenv("PS2C_THREADS", "2")
-    code, out, _ = _run(capsys, args + ["--out", str(tmp_path / "b")])
-    assert code == 0
-    assert out == ref
-    monkeypatch.setenv("PS2C_THREADS", "banana")
-    code, _, stderr = _run(capsys, args + ["--out", str(tmp_path / "c")])
-    assert code == 1
-    assert "PS2C_THREADS" in stderr
 
 
 def test_help_lists_flags_with_defaults(capsys):

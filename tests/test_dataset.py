@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from ps2c.dataset import (
     LabeledDataset,
     UcrFormatError,
+    class_codes,
     load_ucr,
     resample_split,
     save_ucr,
@@ -75,6 +76,25 @@ def test_load_rejects_interior_nan_with_line_number(tmp_path):
     path = _write(tmp_path, "1,0,1,2\n2,3,NaN,NaN\n", "short.csv")
     with pytest.raises(UcrFormatError, match=r"short\.csv:2: .*at least two values, got 1"):
         load_ucr(path)
+
+
+def test_load_rejects_empty_field_before_last_value(tmp_path):
+    path = _write(tmp_path, "1,1.0,,3.0,4.0\n2,5,6,7\n", "gap.csv")
+    with pytest.raises(UcrFormatError, match=r"gap\.csv:1: empty field 3$"):
+        load_ucr(path)
+    path = _write(tmp_path, "1,2,3\n\n,4,5,6\n", "nolabel.csv")  # line numbers count blank lines
+    with pytest.raises(UcrFormatError, match=r"nolabel\.csv:3: empty field 1$"):
+        load_ucr(path)
+    ds = load_ucr(_write(tmp_path, "1,2,3,\n2,4,5,6,\n", "trailing.csv"))
+    assert ds.labels == ("1", "2")
+    assert np.array_equal(ds.series[0], [2.0, 3.0])
+    assert np.array_equal(ds.series[1], [4.0, 5.0, 6.0])
+
+
+def test_class_codes_sort_label_strings():
+    classes, codes = class_codes([10, 9, "a", 9])
+    assert classes == ("10", "9", "a")
+    assert codes.dtype == np.int64 and codes.tolist() == [0, 1, 2, 1]
 
 
 def test_load_ragged_lengths_allowed(tmp_path):
