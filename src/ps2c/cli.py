@@ -1,10 +1,12 @@
 """Command-line front end: run, discretize, trie-dump, bench.
 
-Exit codes: 0 success, 1 usage/I-O/parse errors, 2 when no grid cell
-has a pattern to sample (the message counts the skip reasons).
+The subcommands leave every check to the library; ``main`` is the one
+place that turns its errors into exit codes: 0 success, 1 for a usage,
+I/O, parse or setting error (one ``error:`` line on stderr), 2 when no
+grid cell has a pattern to sample (the message counts the skip reasons).
 Machine-readable JSON goes to stdout, human summaries and the
 package's logged warnings to stderr (``--quiet`` keeps only errors),
-file artifacts under --out.
+file artifacts under --out, which is made at its first write.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import sys
 import time
 from pathlib import Path
 
-from .dataset import UcrFormatError, load_ucr, znormalize_dataset
+from .dataset import load_ucr, znormalize_dataset
 from .discretizer import SaxParams, discretize, dump_text
 from .pattern_index import PatternIndex
 from .pipeline import (
@@ -45,53 +47,12 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
 
 
-class _HelpFormatter(argparse.ArgumentDefaultsHelpFormatter):
-    # a flag whose default is None states its default in its own help
-    def _get_help_string(self, action):
-        return action.help if action.default is None else super()._get_help_string(action)
-
-
-class _StderrHandler(logging.StreamHandler):
-    """Writes to ``sys.stderr`` as it is at each record, not at set-up."""
-
-    def __init__(self):
-        logging.Handler.__init__(self)
-
-    @property
-    def stream(self):
-        return sys.stderr
-
-
-def _configure_logging(quiet: bool) -> None:
-    """Route the ``ps2c`` loggers to stderr: warnings, or only errors when quiet.
-
-    Idempotent, so repeated in-process ``main()`` calls keep one handler
-    and print each record once. Records still propagate to the root
-    logger's handlers, if any are set.
-    """
-    package = logging.getLogger("ps2c")
-    handler = next((h for h in package.handlers if isinstance(h, _StderrHandler)), None)
-    if handler is None:
-        handler = _StderrHandler()
-        handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
-        package.addHandler(handler)
-    handler.setLevel(logging.ERROR if quiet else logging.WARNING)
-
-
 def _int_list(text: str) -> list[int]:
     items = [tok for tok in text.split(",") if tok.strip()]
     try:
         return [int(tok) for tok in items]
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
-
-
-def _resolve_threads(value) -> int:
-    if value is None:
-        return os.cpu_count() or 1
-    if value < 1:
-        raise ValueError(f"--threads must be >= 1, got {value}")
-    return value
 
 
 def _config_from(args, **grid) -> PipelineConfig:
@@ -118,37 +79,20 @@ def _add_config_flags(parser: argparse.ArgumentParser, defaults: PipelineConfig)
 
 
 def cmd_run(args) -> int:
-    try:
-        if args.resamples < 1:
-            raise ValueError(f"--resamples must be >= 1, got {args.resamples}")
-        threads = _resolve_threads(args.threads)
-        config = _config_from(args, alphas=args.alphas, omegas=args.omegas, k=args.k, seed=args.seed)
-        train = load_ucr(args.train)
-        test = load_ucr(args.test)
-    except (OSError, UcrFormatError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-
+    config = _config_from(args, alphas=args.alphas, omegas=args.omegas, k=args.k, seed=args.seed)
+    train = load_ucr(args.train)
+    test = load_ucr(args.test)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     def emit(i, split, merged):
-        if not args.emit_features:
-            return
-        merged.train.to_csv(out_dir / f"features_train_{i}.csv", labels=split.train.labels)
-        merged.test.to_csv(out_dir / f"features_test_{i}.csv", labels=split.test.labels)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        if args.emit_features:
+            merged.train.to_csv(out_dir / f"features_train_{i}.csv", labels=split.train.labels)
+            merged.test.to_csv(out_dir / f"features_test_{i}.csv", labels=split.test.labels)
 
-    try:
-        result = run_experiment(
-            train, test, config, args.resamples, n_threads=threads, on_resample=emit
-        )
-    except NoPatternsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_PATTERNS
-    except ValueError as exc:  # e.g. a resample split left with one training class
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-
+    result = run_experiment(
+        train, test, config, args.resamples, n_threads=args.threads, on_resample=emit
+    )
     report = build_report(config, result, args.resamples)
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     sys.stdout.write(text)
@@ -175,54 +119,38 @@ def cmd_run(args) -> int:
 
 
 def cmd_discretize(args) -> int:
-    try:
-        params = SaxParams(args.alpha, args.omega)
-        dataset = znormalize_dataset(load_ucr(args.train))
-        discretized = discretize(dataset, params)
-    except (OSError, UcrFormatError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    params = SaxParams(args.alpha, args.omega)
+    dataset = znormalize_dataset(load_ucr(args.train))
+    discretized = discretize(dataset, params)
     sys.stdout.write(dump_text(discretized, dataset.labels) + "\n")
     return EXIT_OK
 
 
 def cmd_trie_dump(args) -> int:
-    try:
-        params = SaxParams(args.alpha, args.omega)
-        config = _config_from(args, alphas=(params.alpha,), omegas=(params.omega,))
-        dataset = znormalize_dataset(load_ucr(args.train))
-        discretized = discretize(dataset, params)
-        index = PatternIndex.build(discretized, config.l_max)
-        trie = fit_sampler(
-            discretized, index, dataset.labels, config.l_max, config.s_min, config.tau
-        )
-    except (OSError, UcrFormatError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    params = SaxParams(args.alpha, args.omega)
+    config = _config_from(args, alphas=(params.alpha,), omegas=(params.omega,))
+    dataset = znormalize_dataset(load_ucr(args.train))
+    discretized = discretize(dataset, params)
+    index = PatternIndex.build(discretized, config.l_max)
+    trie = fit_sampler(discretized, index, dataset.labels, config.l_max, config.s_min, config.tau)
     if trie.is_empty:
-        print("error: no discriminative patterns found", file=sys.stderr)
-        return EXIT_NO_PATTERNS
+        raise NoPatternsError("no discriminative patterns found")
     sys.stdout.write(trie.to_text() + "\n")
     return EXIT_OK
 
 
 def cmd_bench(args) -> int:
-    try:
-        threads = _resolve_threads(args.threads)
-        sizes = args.sizes
-        lengths = args.lengths
-        if not sizes:
-            raise ValueError("--sizes must list at least one dataset size")
-        if not lengths:
-            raise ValueError("--lengths must list at least one series length")
-        for n in sizes:
-            if n < 4:
-                raise ValueError(f"dataset size must be >= 4, got {n}")
-        for n in lengths:
-            SynthSpec(length=n)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    sizes = args.sizes
+    lengths = args.lengths
+    if not sizes:
+        raise ValueError("--sizes must list at least one dataset size")
+    if not lengths:
+        raise ValueError("--lengths must list at least one series length")
+    for n in sizes:
+        if n < 4:
+            raise ValueError(f"dataset size must be >= 4, got {n}")
+    for n in lengths:
+        SynthSpec(length=n)
 
     config = PipelineConfig(seed=args.seed)
     rows = []
@@ -232,11 +160,7 @@ def cmd_bench(args) -> int:
             train = generate(SynthSpec(n_per_class=per_class, length=length, seed=args.seed))
             test = generate(SynthSpec(n_per_class=per_class, length=length, seed=args.seed + 1))
             t0 = time.perf_counter()
-            try:
-                merged = fit_transform(train, test, config, n_threads=threads)
-            except NoPatternsError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return EXIT_NO_PATTERNS
+            merged = fit_transform(train, test, config, n_threads=args.threads)
             total = time.perf_counter() - t0
             for cell in merged.skipped:
                 cell.log()
@@ -263,6 +187,15 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
+def _add_cell_flags(parser: argparse.ArgumentParser) -> None:
+    # a required flag has no default for --help to print
+    parser.add_argument("train", help="dataset file")
+    parser.add_argument("--alpha", type=int, required=True, default=argparse.SUPPRESS,
+                        help="alphabet size")
+    parser.add_argument("--omega", type=int, required=True, default=argparse.SUPPRESS,
+                        help="window size")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="ps2c",
@@ -274,69 +207,61 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--quiet", action="store_true",
                         help="print no logged warnings, only errors")
 
-    p_run = sub.add_parser(
-        "run",
-        parents=[common],
-        help="run the full pipeline on a train/test pair",
-        formatter_class=_HelpFormatter,
-    )
+    def command(name, func, help):
+        cmd = sub.add_parser(name, parents=[common], help=help,
+                             formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+        cmd.set_defaults(func=func)
+        return cmd
+
+    p_run = command("run", cmd_run, "run the full pipeline on a train/test pair")
     p_run.add_argument("train", help="training split file")
     p_run.add_argument("test", help="test split file")
     _add_config_flags(p_run, defaults)
     p_run.add_argument("--resamples", type=int, default=1,
                        help="number of train/test resamples; resample 0 keeps the original split")
-    p_run.add_argument("--threads", type=int, default=None,
-                       help="worker threads (default: all cores)")
+    p_run.add_argument("--threads", type=int, default=os.cpu_count() or 1,
+                       help="worker threads, one per core by default")
     p_run.add_argument("--out", default="ps2c_out", help="artifact output directory")
     p_run.add_argument("--emit-features", action="store_true",
                        help="also write per-resample feature CSVs")
-    p_run.set_defaults(func=cmd_run)
 
-    p_disc = sub.add_parser(
-        "discretize",
-        parents=[common],
-        help="print one symbolic string per instance",
-        formatter_class=_HelpFormatter,
-    )
-    p_disc.add_argument("train", help="dataset file")
-    p_disc.add_argument("--alpha", type=int, required=True, help="alphabet size")
-    p_disc.add_argument("--omega", type=int, required=True, help="window size")
-    p_disc.set_defaults(func=cmd_discretize)
+    _add_cell_flags(command("discretize", cmd_discretize, "print one symbolic string per instance"))
 
-    p_trie = sub.add_parser(
-        "trie-dump",
-        parents=[common],
-        help="fit one grid cell's sampler and print the weighted trie",
-        formatter_class=_HelpFormatter,
-    )
-    p_trie.add_argument("train", help="dataset file")
-    p_trie.add_argument("--alpha", type=int, required=True, help="alphabet size")
-    p_trie.add_argument("--omega", type=int, required=True, help="window size")
+    p_trie = command("trie-dump", cmd_trie_dump,
+                     "fit one grid cell's sampler and print the weighted trie")
+    _add_cell_flags(p_trie)
     _add_sampler_flags(p_trie, defaults)
-    p_trie.set_defaults(func=cmd_trie_dump)
 
-    p_bench = sub.add_parser(
-        "bench",
-        parents=[common],
-        help="time fit+transform on planted synthetic datasets",
-        formatter_class=_HelpFormatter,
-    )
-    p_bench.add_argument("--sizes", type=_int_list, required=True, metavar="LIST",
-                         help="total training instances per run, comma-separated")
+    p_bench = command("bench", cmd_bench, "time fit+transform on planted synthetic datasets")
+    p_bench.add_argument("--sizes", type=_int_list, required=True, default=argparse.SUPPRESS,
+                         metavar="LIST", help="total training instances per run, comma-separated")
     p_bench.add_argument("--lengths", type=_int_list, default=[128], metavar="LIST",
                          help="series lengths per run, comma-separated")
     p_bench.add_argument("--seed", type=int, default=0, help="generator seed")
     p_bench.add_argument("--threads", type=int, default=1,
                          help="worker threads (timings are cleanest single-threaded)")
-    p_bench.set_defaults(func=cmd_bench)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    _configure_logging(args.quiet)
-    return args.func(args)
+    args = build_parser().parse_args(argv)
+    # made per call, so it writes to sys.stderr as it is now, and removed
+    # after, so repeated in-process calls print each record once
+    handler = logging.StreamHandler()
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    handler.setLevel(logging.ERROR if args.quiet else logging.WARNING)
+    package = logging.getLogger("ps2c")
+    package.addHandler(handler)
+    try:
+        return args.func(args)
+    except NoPatternsError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NO_PATTERNS
+    except (OSError, ValueError) as exc:  # UcrFormatError is a ValueError
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    finally:
+        package.removeHandler(handler)
 
 
 def entry() -> None:

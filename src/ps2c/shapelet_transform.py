@@ -78,23 +78,19 @@ class FeatureMatrix:
     def column_tags(self) -> list[str]:
         return [s.tag for s in self.shapelets]
 
-    def to_csv(self, path, labels=None) -> None:
+    def to_csv(self, path, labels) -> None:
         """Write the matrix as CSV with a provenance header row.
 
-        When ``labels`` is given it becomes the first column, making the
-        file directly consumable by external classifiers.
+        The labels make the first column, so the file is directly
+        consumable by external classifiers.
         """
-        header = self.column_tags()
-        rows = []
-        if labels is not None:
-            if len(labels) != self.values.shape[0]:
-                raise ValueError("labels must align with the matrix rows")
-            header = ["label"] + header
-            for label, row in zip(labels, self.values):
-                rows.append(",".join([str(label)] + [repr(float(v)) for v in row]))
-        else:
-            for row in self.values:
-                rows.append(",".join(repr(float(v)) for v in row))
+        if len(labels) != self.values.shape[0]:
+            raise ValueError("labels must align with the matrix rows")
+        header = ["label"] + self.column_tags()
+        rows = [
+            ",".join([str(label)] + [repr(float(v)) for v in row])
+            for label, row in zip(labels, self.values)
+        ]
         with open(path, "w") as fh:
             fh.write(",".join(header) + "\n")
             fh.write("\n".join(rows) + "\n")

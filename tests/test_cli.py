@@ -1,5 +1,9 @@
+import contextlib
 import dataclasses
+import io
 import json
+import logging
+import os
 import subprocess
 import sys
 
@@ -72,17 +76,38 @@ def test_run_parse_error(capsys, tmp_path):
     assert "non-numeric" in stderr
 
 
-@pytest.mark.parametrize("resamples", ["0", "-2"])
-def test_run_resamples_below_one_exit_1(data_paths, capsys, tmp_path, resamples):
+@pytest.mark.parametrize(
+    "flag, value, setting",
+    [
+        pytest.param("--resamples", "0", "n_resamples", id="0"),
+        pytest.param("--resamples", "-2", "n_resamples", id="-2"),
+        pytest.param("--threads", "0", "n_threads", id="threads=0"),
+        pytest.param("--threads", "-1", "n_threads", id="threads=-1"),
+    ],
+)
+def test_run_resamples_below_one_exit_1(data_paths, capsys, tmp_path, flag, value, setting):
+    # run_experiment and fit_transform make these checks before the first write
     train, test = data_paths
     out = tmp_path / "out"
+    code, stdout, stderr = _run(capsys, ["run", train, test, flag, value, "--out", str(out)])
+    assert code == 1
+    assert stdout == ""
+    assert f"error: {setting} must be >= 1, got {value}" in stderr
+    assert not out.exists()
+
+
+def test_run_out_naming_a_file_exit_1(data_paths, capsys, tmp_path):
+    train, test = data_paths
+    out = tmp_path / "taken"
+    out.write_text("not a directory\n")
     code, stdout, stderr = _run(
-        capsys, ["run", train, test, "--resamples", resamples, "--out", str(out)]
+        capsys, ["run", train, test, "--alphas", "3", "--omegas", "3", "--out", str(out)]
     )
     assert code == 1
     assert stdout == ""
-    assert f"error: --resamples must be >= 1, got {resamples}" in stderr
-    assert not out.exists()
+    errors = [line for line in stderr.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and "File exists" in errors[0] and str(out) in errors[0]
+    assert out.read_text() == "not a directory\n"
 
 
 def test_run_resample_with_one_training_class_exit_1(capsys, tmp_path):
@@ -404,23 +429,67 @@ def test_warnings_print_once_per_call_and_quiet_prints_none(capsys, monkeypatch)
         return dataclasses.replace(merged, skipped=(SkippedCell(9, 7, "for the test"),))
 
     monkeypatch.setattr(cli, "fit_transform", skipping_fit_transform)
+    package = logging.getLogger("ps2c")
+    handlers = [logging.NullHandler()]  # a host program's handler: main must leave only it
+    monkeypatch.setattr(package, "handlers", list(handlers))
     argv = ["bench", "--sizes", "8", "--lengths", "32", "--seed", "1"]
+    warning = "WARNING ps2c.pipeline: skipping cell alpha=9 omega=7: for the test"
     for _ in range(2):  # repeated in-process calls must not stack handlers
         code, _, stderr = _run(capsys, argv)
         assert code == 0
+        assert package.handlers == handlers
         lines = [line for line in stderr.splitlines() if "skipping cell" in line]
-        assert lines == ["WARNING ps2c.pipeline: skipping cell alpha=9 omega=7: for the test"]
+        assert lines == [warning]
     code, _, stderr = _run(capsys, argv + ["--quiet"])
     assert code == 0
     assert "skipping cell" not in stderr
     code, _, stderr = _run(capsys, ["bench", "--sizes", "8", "--lengths", "4", "--quiet"])
     assert code == 1 and "length 4 is shorter than motif_length 16" in stderr  # errors still print
+    assert package.handlers == handlers
+    buf = io.StringIO()
+    with contextlib.redirect_stderr(buf):  # the way perfbench/child.py calls main
+        assert main(argv) == 0
+    assert warning in buf.getvalue().splitlines()
+    assert capsys.readouterr().err == ""
 
 
 def test_bench_length_below_motif_exit_1(capsys):
     code, _, stderr = _run(capsys, ["bench", "--sizes", "8", "--lengths", "4"])
     assert code == 1
     assert "length 4 is shorter than motif_length 16" in stderr
+
+
+def test_bench_threads_below_one_exit_1(capsys):
+    code, stdout, stderr = _run(
+        capsys, ["bench", "--sizes", "8", "--lengths", "32", "--threads", "0"]
+    )
+    assert code == 1
+    assert stdout == ""
+    assert stderr == "error: n_threads must be >= 1, got 0\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "MISSING", "MISSING"],
+        ["discretize", "DATA", "--alpha", "1", "--omega", "2"],
+        ["trie-dump", "BAD", "--alpha", "3", "--omega", "2"],
+        ["bench", "--sizes", "2"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_module_entry_prints_one_error_line_and_no_traceback(data_paths, tmp_path, argv):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("1,2,x,4\n")
+    named = {"DATA": data_paths[0], "BAD": str(bad), "MISSING": str(tmp_path / "missing.csv")}
+    argv = [named.get(a, a) for a in argv]
+    proc = subprocess.run([sys.executable, "-m", "ps2c.cli", *argv], capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert [line for line in proc.stderr.splitlines() if line.startswith("error:")] == [
+        proc.stderr.strip()
+    ]
 
 
 def test_bench_empty_sizes_exit_1(capsys):
@@ -439,3 +508,12 @@ def test_help_lists_flags_with_defaults(capsys):
         assert flag in text
     assert "0.05" in text and "0.5" in text and "20" in text
     assert "(default: None)" not in text
+    assert f"one per core by default (default: {os.cpu_count() or 1})" in " ".join(text.split())
+
+
+@pytest.mark.parametrize("command", ["discretize", "trie-dump", "bench"])
+def test_required_flags_print_no_default(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args([command, "--help"])
+    assert exc.value.code == 0
+    assert "(default: None)" not in capsys.readouterr().out

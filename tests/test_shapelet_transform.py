@@ -304,11 +304,6 @@ def test_feature_matrix_csv_roundtrip(tmp_path):
     assert float(rows[1][1]) == 0.5
     assert float(rows[2][2]) == 0.0
 
-    fm.to_csv(path)  # no labels: header drops the label column
-    with open(path) as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["a3_w2_ab", "a3_w2_ba"]
-
 
 def test_variable_length_series_supported():
     rng = np.random.default_rng(11)
