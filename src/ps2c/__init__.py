@@ -11,7 +11,6 @@ from .dataset import (
     LabeledDataset,
     UcrFormatError,
     load_ucr,
-    resample_split,
     znormalize,
     znormalize_dataset,
 )
@@ -35,7 +34,6 @@ from .pipeline import (
     run_experiment,
     train_classifier,
 )
-from .quality import pattern_quality
 from .sampler_trie import fit_sampler
 from .shapelet_transform import create_feature_sets
 from .synthgen import SynthSpec, generate
@@ -48,14 +46,12 @@ __all__ = [
     "load_ucr",
     "znormalize",
     "znormalize_dataset",
-    "resample_split",
     "SaxParams",
     "compute_breakpoints",
     "paa",
     "sax",
     "sax_text",
     "discretize",
-    "pattern_quality",
     "PatternIndex",
     "fit_sampler",
     "create_feature_sets",

@@ -147,8 +147,8 @@ def cmd_bench(args) -> int:
     if not lengths:
         raise ValueError("--lengths must list at least one series length")
     for n in sizes:
-        if n < 4:
-            raise ValueError(f"dataset size must be >= 4, got {n}")
+        if n < 4 or n % 2:
+            raise ValueError(f"dataset size must be an even number >= 4, got {n}")
     for n in lengths:
         SynthSpec(length=n)
 

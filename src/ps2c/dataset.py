@@ -1,6 +1,6 @@
 """Labeled time series datasets in the UCR text format.
 
-Loading and saving UCR text files, z-normalisation, and seeded shuffled
+Loading UCR text files, z-normalisation, and seeded shuffled
 resampling of train/test splits.
 """
 
@@ -16,9 +16,9 @@ __all__ = [
     "LabeledDataset",
     "SplitPair",
     "UcrFormatError",
+    "check_aligned",
     "class_codes",
     "load_ucr",
-    "save_ucr",
     "znormalize",
     "znormalize_dataset",
     "resample_split",
@@ -50,6 +50,12 @@ def class_codes(labels) -> tuple[tuple[str, ...], np.ndarray]:
     classes = tuple(sorted(set(labels)))
     ids = {c: i for i, c in enumerate(classes)}
     return classes, np.array([ids[c] for c in labels], dtype=np.int64)
+
+
+def check_aligned(labels, n_rows: int) -> None:
+    """Raise unless there is one label per matrix row."""
+    if len(labels) != n_rows:
+        raise ValueError("labels must align with the matrix rows")
 
 
 @dataclass(frozen=True)
@@ -99,9 +105,6 @@ class LabeledDataset:
     @property
     def classes(self) -> tuple[str, ...]:
         return tuple(sorted(set(self.labels)))
-
-    def class_counts(self) -> dict[str, int]:
-        return dict(Counter(self.labels))
 
     def shared(self, key, build):
         """The memoised value of ``build()`` under ``key``.
@@ -205,17 +208,6 @@ def _is_number(tok: str) -> bool:
     except ValueError:
         return False
     return True
-
-
-def save_ucr(dataset: LabeledDataset, path, delimiter: str = ",") -> None:
-    """Write ``dataset`` in UCR text format with six decimal places."""
-    if delimiter not in (",", "\t"):
-        raise ValueError("delimiter must be comma or tab")
-    lines = []
-    for values, label in zip(dataset.series, dataset.labels):
-        fields = [label] + [f"{v:.6f}" for v in values]
-        lines.append(delimiter.join(fields))
-    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def znormalize(series) -> np.ndarray:

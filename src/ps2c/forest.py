@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .dataset import class_codes
+from .dataset import check_aligned, class_codes
 
 __all__ = ["RandomForest"]
 
@@ -140,8 +140,7 @@ class RandomForest:
         if X.ndim != 2 or X.shape[1] < 1:
             raise ValueError("X must be a 2-D matrix with at least one column")
         self.classes_, y = class_codes(labels)
-        if y.size != X.shape[0]:
-            raise ValueError("labels must align with the matrix rows")
+        check_aligned(y, X.shape[0])
         if len(self.classes_) < 2:
             raise ValueError("training labels contain a single class")
 

@@ -38,7 +38,7 @@ import numpy as np
 
 from .discretizer import DiscretizedDataset, sax_text
 
-__all__ = ["PatternIndex"]
+__all__ = ["PatternIndex", "check_l_max"]
 
 
 @dataclass
@@ -65,8 +65,11 @@ class _LengthTable:
     def first_instance(self, row: int) -> int:
         return int(self.pair_instance[self.pair_starts[row]])
 
-    def instances_of(self, row: int) -> np.ndarray:
-        return self.pair_instance[self.pair_starts[row] : self.pair_starts[row + 1]]
+
+def check_l_max(l_max: int) -> None:
+    """Raise unless l_max admits a pattern: lengths start at 2."""
+    if l_max < 2:
+        raise ValueError(f"l_max must be >= 2, got {l_max}")
 
 
 def _key_shift(n_symbols: int, alpha: int) -> int:
@@ -112,8 +115,7 @@ class PatternIndex:
         yields an empty index. Raises ``ValueError`` when the symbols
         exceed the packed key's width (see ``_key_shift``).
         """
-        if l_max < 2:
-            raise ValueError(f"l_max must be >= 2, got {l_max}")
+        check_l_max(l_max)
         alpha = discretized.params.alpha
         codes = discretized.codes
         # each instance is followed by the separator symbol alpha, so a
@@ -175,22 +177,6 @@ class PatternIndex:
             raise ValueError(f"pattern length {length} outside [2, {self.l_max}]")
         table = self._tables.get(length)
         return 0 if table is None else table.n_patterns
-
-    def distinct_patterns(self, length: int) -> set[str]:
-        """The distinct length-l substrings present in at least one instance."""
-        return {self.row_text(length, r) for r in range(self.pattern_count(length))}
-
-    def presence_vector(self, pattern: str) -> np.ndarray:
-        """Boolean vector: bit i set iff the pattern occurs in instance i.
-
-        A pattern never enumerated yields the explicit absent-everywhere
-        vector rather than an error.
-        """
-        out = np.zeros(self.n_instances, dtype=bool)
-        row = self.row_of(pattern)
-        if row is not None:
-            out[self._tables[len(pattern)].instances_of(row)] = True
-        return out
 
     def occurrence(self, length: int, row: int) -> tuple[int, int]:
         """Earliest (instance index, symbol offset) of the pattern in a row."""

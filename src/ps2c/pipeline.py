@@ -17,10 +17,10 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .dataset import LabeledDataset, resample_split, znormalize_dataset
+from .dataset import LabeledDataset, check_aligned, resample_split, znormalize_dataset
 from .discretizer import SaxParams, discretize
 from .forest import RandomForest
-from .pattern_index import PatternIndex
+from .pattern_index import PatternIndex, check_l_max
 from .quality import check_settings
 from .sampler_trie import fit_sampler
 from .shapelet_transform import FeatureMatrix, create_feature_sets
@@ -75,8 +75,7 @@ class PipelineConfig:
         for alpha in alphas:
             for omega in omegas:
                 SaxParams(alpha, omega)
-        if self.l_max < 2:
-            raise ValueError(f"l_max must be >= 2, got {self.l_max}")
+        check_l_max(self.l_max)
         check_settings(self.tau, self.s_min)
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
@@ -237,8 +236,7 @@ def evaluate(model, features, labels) -> float:
     """Fraction of correct predictions on a feature matrix."""
     values = getattr(features, "values", features)
     labels = np.array([str(c) for c in labels])
-    if labels.size != values.shape[0]:
-        raise ValueError("labels must align with the matrix rows")
+    check_aligned(labels, values.shape[0])
     return float(np.mean(model.predict(values) == labels))
 
 

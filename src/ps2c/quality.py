@@ -4,8 +4,7 @@ Pearson chi-square over the pattern-presence-by-class contingency
 table, normalised by the instance count into (0, 1], then biased
 toward strong patterns by temperature scaling q**(1/tau).
 ``chi2_normalized_many`` scores every pattern of a length at once, one
-class column at a time; ``pattern_quality`` is the same computation for
-a single presence vector. A score depends only on the per-class counts,
+class column at a time. A score depends only on the per-class counts,
 so ``chi2_table`` scores every possible count vector of a training
 split once, and a pattern's score is one lookup by its count code.
 """
@@ -17,9 +16,7 @@ import math
 
 import numpy as np
 
-from .dataset import class_codes
-
-__all__ = ["check_settings", "scale", "pattern_quality", "chi2_normalized_many", "chi2_table"]
+__all__ = ["check_settings", "scale", "chi2_normalized_many", "chi2_table"]
 
 
 def check_settings(tau: float, s_min: float = 0.0) -> None:
@@ -47,20 +44,6 @@ def scale(q: float, tau: float) -> float:
     if q == 1.0:
         return 1.0
     return q ** (1.0 / tau)
-
-
-def pattern_quality(presence, labels) -> float:
-    """Normalised chi-square of a presence vector against the labels."""
-    presence = np.asarray(presence, dtype=bool)
-    _, class_of = class_codes(labels)
-    if presence.size != class_of.size:
-        raise ValueError(
-            f"presence vector ({presence.size}) and labels ({class_of.size}) "
-            "must be index-aligned"
-        )
-    sizes = np.bincount(class_of)
-    present = np.bincount(class_of[presence], minlength=sizes.size)
-    return float(chi2_normalized_many(present[None, :], sizes)[0])
 
 
 def chi2_normalized_many(present: np.ndarray, class_sizes: np.ndarray) -> np.ndarray:

@@ -47,35 +47,6 @@ class SamplerTrie:
         self.q = np.asarray(q, dtype=np.float64)
         self.log_w = np.log(self.q) / tau
 
-    @classmethod
-    def from_patterns(
-        cls, index: PatternIndex, patterns, tau: float, s_min: float
-    ) -> "SamplerTrie":
-        """Sampler over hand-given patterns of ``index``: a mapping or (pattern, q) pairs.
-
-        Each pattern needs length >= 2, an occurrence in the index and a
-        quality q > 0 with q >= s_min, and may appear only once.
-        """
-        check_settings(tau, s_min)
-        stored: dict[tuple[int, int], float] = {}
-        for pattern, q in patterns.items() if hasattr(patterns, "items") else patterns:
-            if len(pattern) < 2:
-                raise ValueError(f"patterns must have length >= 2, got {pattern!r}")
-            if q <= 0.0 or q < s_min:
-                raise ValueError(
-                    f"quality {q} below acceptance threshold (s_min={s_min}, must also be > 0)"
-                )
-            row = index.row_of(pattern)
-            if row is None:
-                raise ValueError(f"pattern {pattern!r} occurs in no instance of the index")
-            if (len(pattern), row) in stored:
-                raise ValueError(f"pattern {pattern!r} given twice")
-            stored[len(pattern), row] = q
-        # store order is (length, row), as in fit_sampler
-        keys = sorted(stored)
-        lengths, rows = [n for n, _ in keys], [row for _, row in keys]
-        return cls(tau, s_min, index, lengths, rows, [stored[key] for key in keys])
-
     @property
     def pattern_count(self) -> int:
         return int(self.q.size)
@@ -104,13 +75,9 @@ class SamplerTrie:
         top = np.argpartition(-keys, k - 1)[:k]
         return top[np.argsort(-keys[top], kind="stable")]
 
-    def sample_distinct(self, k: int, rng: np.random.Generator) -> list[str]:
-        """The patterns at :meth:`sample_positions`, as text."""
-        return [self.text(i) for i in self.sample_positions(k, rng)]
-
     def sample(self, rng: np.random.Generator) -> str:
         """Draw one pattern with probability proportional to q**(1/tau)."""
-        return self.sample_distinct(1, rng)[0]
+        return self.text(self.sample_positions(1, rng)[0])
 
     # -- the trie view, computed from the store ----------------------------
 

@@ -28,12 +28,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dataset import LabeledDataset
+from .dataset import LabeledDataset, check_aligned
 from .discretizer import DiscretizedDataset
 from .pattern_index import PatternIndex
 from .sampler_trie import SamplerTrie
 
-__all__ = ["Shapelet", "FeatureMatrix", "min_distance", "create_feature_sets"]
+__all__ = ["Shapelet", "FeatureMatrix", "create_feature_sets"]
 
 logger = logging.getLogger(__name__)
 
@@ -84,8 +84,7 @@ class FeatureMatrix:
         The labels make the first column, so the file is directly
         consumable by external classifiers.
         """
-        if len(labels) != self.values.shape[0]:
-            raise ValueError("labels must align with the matrix rows")
+        check_aligned(labels, self.values.shape[0])
         header = ["label"] + self.column_tags()
         rows = [
             ",".join([str(label)] + [repr(float(v)) for v in row])
@@ -94,19 +93,6 @@ class FeatureMatrix:
         with open(path, "w") as fh:
             fh.write(",".join(header) + "\n")
             fh.write("\n".join(rows) + "\n")
-
-
-def min_distance(series, shapelet) -> float:
-    """Minimal length-normalised squared Euclidean sliding distance.
-
-    Minimum over all alignments of mean((window - shapelet)**2). A
-    shapelet longer than the series (possible only with variable-length
-    datasets) is compared on the single alignment of the series against
-    the shapelet's head, and the degenerate case is logged. This is the
-    one-cell case of the batched kernel behind the feature matrices.
-    """
-    padded = _PaddedRows.of([np.asarray(series, dtype=np.float64)])
-    return float(_distance_matrix(padded, [shapelet])[0, 0])
 
 
 class _PaddedRows(NamedTuple):
@@ -145,19 +131,21 @@ def _shared_rows(dataset: LabeledDataset) -> _PaddedRows:
 
 
 def _distance_matrix(padded: _PaddedRows, shapelets) -> np.ndarray:
-    """N x k matrix of ``min_distance`` over series of any mix of lengths.
+    """N x k matrix of min-distances over series of any mix of lengths.
 
-    The series are zero-padded into one N x n_max array (``padded``,
-    built once per split and shared by every grid cell). Prefix sums of
-    squares give every window's energy in O(1), and FFT sliding dot
-    products make the alignment search O(N n log n) per shapelet instead
-    of O(N n s). With a transform length L >= n_max the circular
-    correlation never wraps on the offsets 0..n_max-s, so one rfft of
-    the padded rows serves every shapelet. In row i only the offsets
-    0..n_i-s are real alignments; the rest run into the padding and are
-    masked to +inf (equal-length data needs no mask). A row shorter than
-    the shapelet takes the single head alignment of ``min_distance``,
-    with one warning per shapelet giving how many rows did.
+    Entry (i, j) is the minimum of mean((window - shapelet j)**2) over
+    the alignments in series i. The series are zero-padded into one
+    N x n_max array (``padded``, built once per split and shared by
+    every grid cell). Prefix sums of squares give every window's energy
+    in O(1), and FFT sliding dot products make the alignment search
+    O(N n log n) per shapelet instead of O(N n s). With a transform
+    length L >= n_max the circular correlation never wraps on the
+    offsets 0..n_max-s, so one rfft of the padded rows serves every
+    shapelet. In row i only the offsets 0..n_i-s are real alignments;
+    the rest run into the padding and are masked to +inf (equal-length
+    data needs no mask). A row shorter than the shapelet takes the
+    single alignment of the series against the shapelet's head, with
+    one warning per shapelet giving how many rows did.
 
     The best FFT score of each row is re-evaluated with the direct
     formula, together with at most ``_NEAR_TIES`` further offsets whose

@@ -1,0 +1,26 @@
+"""Helpers shared by the test modules: UCR fixture files and hand-built samplers."""
+
+from pathlib import Path
+
+from ps2c.sampler_trie import SamplerTrie
+
+
+def save_ucr(dataset, path, delimiter=","):
+    """Write ``dataset`` as a UCR text file with six decimal places."""
+    lines = [
+        delimiter.join([label] + [f"{v:.6f}" for v in values])
+        for values, label in zip(dataset.series, dataset.labels)
+    ]
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def sampler_over(index, patterns, tau=1.0, s_min=0.0):
+    """A sampler storing hand-given (pattern, q) pairs of ``index``.
+
+    Each pattern is resolved to its row by ``index.row_of`` and stored
+    in (length, row) order, the order ``fit_sampler`` stores in.
+    """
+    pairs = patterns.items() if hasattr(patterns, "items") else patterns
+    stored = sorted((len(p), index.row_of(p), q) for p, q in pairs)
+    lengths, rows, qs = zip(*stored) if stored else ((), (), ())
+    return SamplerTrie(tau, s_min, index, lengths, rows, qs)

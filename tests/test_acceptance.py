@@ -16,13 +16,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ps2c.dataset import load_ucr, save_ucr, znormalize_dataset
+from ps2c.dataset import load_ucr, znormalize_dataset
 from ps2c.discretizer import DiscretizedDataset, SaxParams, discretize
 from ps2c.pattern_index import PatternIndex
 from ps2c.pipeline import PipelineConfig, fit_transform, run_experiment
-from ps2c.quality import pattern_quality, scale
+from ps2c.quality import chi2_normalized_many, scale
 from ps2c.sampler_trie import fit_sampler
 from ps2c.synthgen import SynthSpec, generate
+from support import save_ucr
 
 LETTERS = string.ascii_lowercase
 
@@ -145,14 +146,14 @@ def test_criterion_2_sampling_distribution():
 
 
 def test_criterion_3_chi2_worked_example():
-    presence = [1] * 13 + [0] + [0] * 14
-    labels = ["1"] * 14 + ["2"] * 14
-    q = pattern_quality(presence, labels)
+    # present in 13 of class 1's 14 instances and in none of class 2's 14
+    sizes = np.array([14, 14])
+    q = float(chi2_normalized_many(np.array([[13, 0]]), sizes)[0])
     assert q == pytest.approx(0.867, abs=1e-3)
     w = scale(q, 0.33)
     assert w == pytest.approx(0.65, abs=1e-2)
 
-    perfect = pattern_quality([1] * 14 + [0] * 14, labels)
+    perfect = float(chi2_normalized_many(np.array([[14, 0]]), sizes)[0])
     assert perfect == 1.0
     assert scale(perfect, 0.33) == 1.0
     _report(

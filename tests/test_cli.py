@@ -12,9 +12,10 @@ import pytest
 
 from ps2c import cli
 from ps2c.cli import build_parser, main
-from ps2c.dataset import LabeledDataset, save_ucr
+from ps2c.dataset import LabeledDataset
 from ps2c.pipeline import SkippedCell, fit_transform
 from ps2c.synthgen import SynthSpec, generate
+from support import save_ucr
 
 
 @pytest.fixture

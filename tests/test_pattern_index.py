@@ -32,6 +32,21 @@ def naive_scan(strings, l_max):
     return out
 
 
+def _patterns(index, length):
+    """The distinct patterns of one length, as the text of every row."""
+    return {index.row_text(length, r) for r in range(index.pattern_count(length))}
+
+
+def _presence(index, length):
+    """The (patterns x instances) presence matrix of one length."""
+    n = index.n_instances
+    return index.presence_counts(length, np.arange(n), n)
+
+
+def _substring_presence(strings, pattern):
+    return [pattern in s for s in strings]
+
+
 def _assert_matches_oracle(strings, alpha, l_max):
     index = PatternIndex.build(_dataset(strings, alpha), l_max)
     oracle = naive_scan(strings, l_max)
@@ -39,43 +54,44 @@ def _assert_matches_oracle(strings, alpha, l_max):
     for pat in oracle:
         by_len.setdefault(len(pat), set()).add(pat)
     for l in range(2, l_max + 1):
-        assert index.distinct_patterns(l) == by_len.get(l, set())
+        assert _patterns(index, l) == by_len.get(l, set())
     # the build carries sorted windows from one length to the next: rows
     # come in strictly increasing text order, each row's instances in
     # strictly increasing order
     for l in index.lengths():
         texts = [index.row_text(l, r) for r in range(index.pattern_count(l))]
         assert all(a < b for a, b in zip(texts, texts[1:]))
+        table = index._tables[l]
         for r in range(index.pattern_count(l)):
-            assert np.all(np.diff(index._tables[l].instances_of(r)) > 0)
+            instances = table.pair_instance[table.pair_starts[r] : table.pair_starts[r + 1]]
+            assert np.all(np.diff(instances) > 0)
+        presence = _presence(index, l)
+        for r, pat in enumerate(texts):
+            assert set(np.flatnonzero(presence[r])) == oracle[pat]["instances"]
     for pat, entry in oracle.items():
-        vec = index.presence_vector(pat)
-        assert set(np.nonzero(vec)[0]) == entry["instances"]
         assert index.occurrence(len(pat), index.row_of(pat)) == entry["first"]
 
 
 def test_build_two_identical_strings():
     index = PatternIndex.build(_dataset(["ab", "ab"], 2), 2)
-    assert index.distinct_patterns(2) == {"ab"}
-    assert index.presence_vector("ab").tolist() == [True, True]
+    assert _patterns(index, 2) == {"ab"}
+    assert _presence(index, 2).tolist() == [[True, True]]
     assert index.occurrence(2, index.row_of("ab")) == (0, 0)
 
 
 def test_build_hand_enumerated():
     index = PatternIndex.build(_dataset(["abc", "bcd"], 4), 3)
-    assert index.distinct_patterns(2) == {"ab", "bc", "cd"}
-    assert index.presence_vector("ab").tolist() == [True, False]
-    assert index.presence_vector("bc").tolist() == [True, True]
-    assert index.presence_vector("cd").tolist() == [False, True]
-    assert index.distinct_patterns(3) == {"abc", "bcd"}
-    assert index.presence_vector("abc").tolist() == [True, False]
-    assert index.presence_vector("bcd").tolist() == [False, True]
+    assert _patterns(index, 2) == {"ab", "bc", "cd"}
+    # rows in text order: ab, bc, cd
+    assert _presence(index, 2).tolist() == [[True, False], [True, True], [False, True]]
+    assert _patterns(index, 3) == {"abc", "bcd"}
+    assert _presence(index, 3).tolist() == [[True, False], [False, True]]
 
 
 def test_repeats_deduplicate():
     index = PatternIndex.build(_dataset(["aaaa"], 2), 3)
-    assert index.distinct_patterns(2) == {"aa"}
-    assert index.distinct_patterns(3) == {"aaa"}
+    assert _patterns(index, 2) == {"aa"}
+    assert _patterns(index, 3) == {"aaa"}
     assert index.occurrence(2, index.row_of("aa")) == (0, 0)
     assert index.occurrence(3, index.row_of("aaa")) == (0, 0)
 
@@ -90,14 +106,14 @@ def test_first_occurrence_examples():
 
 def test_unknown_pattern_presence_is_zero_not_error():
     index = PatternIndex.build(_dataset(["abc", "bcd"], 4), 3)
-    assert not index.presence_vector("dd").any()
+    assert "dd" not in _patterns(index, 2)
     assert index.row_of("dd") is None
 
 
 @pytest.mark.parametrize("pattern", ["zz", "az", "za", "dz", "Ab", "b!"])
 def test_out_of_alphabet_pattern_is_absent(pattern):
     index = PatternIndex.build(_dataset(["abcd", "dcba"], 4), 3)
-    assert index.presence_vector(pattern).tolist() == [False, False]
+    assert pattern not in _patterns(index, len(pattern))
     assert index.row_of(pattern) is None
 
 
@@ -105,20 +121,20 @@ def test_length_out_of_range():
     index = PatternIndex.build(_dataset(["abc", "bcd"], 4), 3)
     for l in (1, 4):
         with pytest.raises(ValueError):
-            index.distinct_patterns(l)
+            index.pattern_count(l)
 
 
 def test_length_beyond_strings_is_empty():
     index = PatternIndex.build(_dataset(["abc", "bcd"], 4), 6)
-    assert index.distinct_patterns(5) == set()
+    assert _patterns(index, 5) == set()
     assert index.pattern_count(5) == 0
 
 
 def test_short_strings_contribute_nothing():
     index = PatternIndex.build(_dataset(["abcd", "xy"[:1] + "z"], 26), 4)
     # second string has length 2: only its length-2 substring appears
-    assert "xz" in index.distinct_patterns(2)
-    assert index.distinct_patterns(4) == {"abcd"}
+    assert "xz" in _patterns(index, 2)
+    assert _patterns(index, 4) == {"abcd"}
 
 
 def test_distinct_substring_count_formula():
@@ -172,7 +188,7 @@ def test_tables_are_three_int32_arrays():
         arrays = list(vars(table).values())
         assert all(a.dtype == np.int32 for a in arrays)
         rows = index.pattern_count(l)
-        pairs = sum(int(index.presence_vector(index.row_text(l, r)).sum()) for r in range(rows))
+        pairs = sum(sum(_substring_presence(strings, p)) for p in _patterns(index, l))
         assert sum(a.nbytes for a in arrays) == 4 * (2 * rows + pairs + 1)
 
 
@@ -209,9 +225,10 @@ def test_presence_counts_matches_presence_vectors():
     class_of = np.array(labels)
     for l in index.lengths():
         counts = index.presence_counts(l, class_of, 2)
+        presence = _presence(index, l)
         for row in range(index.pattern_count(l)):
-            pat = index.row_text(l, row)
-            vec = index.presence_vector(pat)
+            vec = np.array(_substring_presence(strings, index.row_text(l, row)))
+            assert presence[row].tolist() == vec.tolist()
             assert counts[row, 0] == int(vec[class_of == 0].sum())
             assert counts[row, 1] == int(vec[class_of == 1].sum())
 
@@ -225,7 +242,7 @@ def test_presence_codes_sum_weights_of_present_instances():
         codes = index.presence_codes(l, weights)
         assert codes.shape == (index.pattern_count(l),)
         for row in range(index.pattern_count(l)):
-            vec = index.presence_vector(index.row_text(l, row))
+            vec = np.array(_substring_presence(strings, index.row_text(l, row)))
             assert codes[row] == weights[vec].sum()
 
 

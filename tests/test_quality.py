@@ -7,7 +7,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2_contingency
 
-from ps2c.quality import chi2_normalized_many, chi2_table, pattern_quality, scale
+from ps2c.dataset import class_codes
+from ps2c.quality import chi2_normalized_many, chi2_table, scale
+
+
+def _quality(presence, labels):
+    """Normalised chi-square of one presence vector, from its per-class counts."""
+    _, class_of = class_codes(labels)
+    sizes = np.bincount(class_of)
+    present = np.bincount(class_of[np.asarray(presence, dtype=bool)], minlength=sizes.size)
+    return float(chi2_normalized_many(present[None, :], sizes)[0])
 
 
 def test_contingency_examples():
@@ -16,30 +25,25 @@ def test_contingency_examples():
     # per-class present counts of the three vectors
     many = chi2_normalized_many(np.array([[2, 0], [2, 2], [1, 1]]), np.array([2, 2]))
     assert many.tolist() == [1.0, 0.0, 0.0]
-    assert [pattern_quality(p, labels) for p in presences] == many.tolist()
-
-
-def test_contingency_mismatch():
-    with pytest.raises(ValueError):
-        pattern_quality([1, 0], ["A", "B", "B"])
+    assert [_quality(p, labels) for p in presences] == many.tolist()
 
 
 def test_chi2_perfect_split_equals_n():
-    q = pattern_quality([1, 1, 0, 0], ["A", "A", "B", "B"])
+    q = _quality([1, 1, 0, 0], ["A", "A", "B", "B"])
     assert q * 4 == pytest.approx(4.0, abs=1e-12)
     assert q == pytest.approx(1.0, abs=1e-12)
 
 
 def test_chi2_uninformative_pattern_is_zero():
     labels = ["A", "A", "B", "B"]
-    assert pattern_quality([1, 1, 1, 1], labels) == 0.0
-    assert pattern_quality([0, 0, 0, 0], labels) == 0.0
+    assert _quality([1, 1, 1, 1], labels) == 0.0
+    assert _quality([0, 0, 0, 0], labels) == 0.0
 
 
 def test_chi2_14_14_worked_example():
     presence = [1] * 13 + [0] + [0] * 14
     labels = ["1"] * 14 + ["2"] * 14
-    q = pattern_quality(presence, labels)
+    q = _quality(presence, labels)
     assert q == pytest.approx(0.867, abs=1e-3)
     assert scale(q, 0.33) == pytest.approx(0.65, abs=1e-2)
 
@@ -47,7 +51,7 @@ def test_chi2_14_14_worked_example():
 def test_all_of_one_class_pattern_is_exactly_one():
     presence = [1] * 14 + [0] * 14
     labels = ["1"] * 14 + ["2"] * 14
-    q = pattern_quality(presence, labels)
+    q = _quality(presence, labels)
     assert q == 1.0
     assert scale(q, 0.33) == 1.0
 
@@ -68,7 +72,7 @@ def test_chi2_matches_scipy_oracle(labels, data):
     sizes = np.bincount(class_of)
     present = np.bincount(class_of[presence], minlength=len(classes))
     q = chi2_normalized_many(present[None, :], sizes)[0]
-    assert pattern_quality(presence, labels) == q
+    assert _quality(presence, labels) == q
     assert 0.0 <= q <= 1.0
     ours = q * len(labels)
     obs = np.column_stack([present, sizes - present])
@@ -87,10 +91,10 @@ def test_chi2_matches_scipy_oracle(labels, data):
 @settings(max_examples=100, deadline=None)
 def test_chi2_invariant_under_reordering(presence, seed):
     labels = ["A" if i % 2 else "B" for i in range(len(presence))]
-    base = pattern_quality(presence, labels)
+    base = _quality(presence, labels)
     rng = np.random.default_rng(seed)
     perm = rng.permutation(len(presence))
-    shuffled = pattern_quality(
+    shuffled = _quality(
         [presence[i] for i in perm], [labels[i] for i in perm]
     )
     assert shuffled == pytest.approx(base, abs=1e-12)
@@ -98,8 +102,8 @@ def test_chi2_invariant_under_reordering(presence, seed):
 
 def test_chi2_invariant_under_label_renaming():
     presence = [1, 1, 0, 1, 0, 0]
-    asym = pattern_quality(presence, ["A", "A", "A", "B", "B", "B"])
-    renamed = pattern_quality(presence, ["B", "B", "B", "A", "A", "A"])
+    asym = _quality(presence, ["A", "A", "A", "B", "B", "B"])
+    renamed = _quality(presence, ["B", "B", "B", "A", "A", "A"])
     assert asym == pytest.approx(renamed, abs=1e-12)
 
 
@@ -194,7 +198,7 @@ def test_contingency_table_invariants():
     # expected present [2, 2] and absent [3, 3], raw statistic 5/3
     q = chi2_normalized_many(np.array([[3, 1]]), np.array([5, 5]))[0]
     assert q * 10 == pytest.approx(5 / 3, abs=1e-12)
-    assert pattern_quality([1, 1, 1, 0, 0, 1, 0, 0, 0, 0], ["A"] * 5 + ["B"] * 5) == q
+    assert _quality([1, 1, 1, 0, 0, 1, 0, 0, 0, 0], ["A"] * 5 + ["B"] * 5) == q
 
 
 @given(st.lists(st.integers(1, 7), min_size=2, max_size=6), st.data())

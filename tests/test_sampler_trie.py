@@ -5,8 +5,9 @@ from hypothesis import strategies as st
 
 from ps2c.discretizer import DiscretizedDataset, SaxParams
 from ps2c.pattern_index import PatternIndex
-from ps2c.quality import chi2_normalized_many, chi2_table, pattern_quality, scale
-from ps2c.sampler_trie import SamplerTrie, fit_sampler
+from ps2c.quality import chi2_normalized_many, chi2_table, scale
+from ps2c.sampler_trie import fit_sampler
+from support import sampler_over
 
 LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
@@ -25,7 +26,12 @@ def _index_of(patterns):
 
 
 def _trie(inserts, tau=1.0, s_min=0.0):
-    return SamplerTrie.from_patterns(_index_of(inserts), inserts, tau=tau, s_min=s_min)
+    return sampler_over(_index_of(inserts), inserts, tau=tau, s_min=s_min)
+
+
+def _draw(trie, k, rng):
+    """The k distinct patterns of one Gumbel-top-k draw, as text."""
+    return [trie.text(i) for i in trie.sample_positions(k, rng)]
 
 
 def _expected_edges(patterns):
@@ -71,23 +77,12 @@ def test_insert_applies_temperature():
 
 
 def test_insert_rejects_bad_input():
-    def build(patterns):
-        return SamplerTrie.from_patterns(_index_of(patterns), patterns, tau=1.0, s_min=0.3)
-
-    with pytest.raises(ValueError):
-        build({"a": 0.5})  # too short
-    with pytest.raises(ValueError):
-        build({"ab": 0.1})  # below s_min
-    with pytest.raises(ValueError):
-        build({"ab": 0.0})  # quality range is open at zero
-    assert build({"ab": 0.5}).pattern_count == 1
-    with pytest.raises(ValueError):
-        build([("ab", 0.5), ("ab", 0.5)])  # duplicate
+    assert _trie({"ab": 0.5}, s_min=0.3).pattern_count == 1
     nan, inf = float("nan"), float("inf")
     for tau, s_min in ((nan, 0.3), (inf, 0.3), (1.0, nan), (1.0, inf)):
         for patterns in ({}, {"ab": 0.5}):
             with pytest.raises(ValueError, match="finite"):
-                SamplerTrie.from_patterns(_index_of(patterns), patterns, tau=tau, s_min=s_min)
+                _trie(patterns, tau=tau, s_min=s_min)
 
 
 @given(
@@ -198,13 +193,6 @@ def test_path_probability_unknown_pattern():
         _trie([("abc", 0.4)]).path_probability("ab")
 
 
-def test_from_patterns_rejects_pattern_absent_from_index():
-    index = _index_of([("abc", 0.4)])
-    assert SamplerTrie.from_patterns(index, {"bc": 0.4}, tau=1.0, s_min=0.0).pattern_count == 1
-    with pytest.raises(ValueError, match="no instance"):
-        SamplerTrie.from_patterns(index, {"ca": 0.4}, tau=1.0, s_min=0.0)
-
-
 # At tau=0.01 the weight of q=1e-4 is 1e-400, which float64 rounds to 0.0.
 UNDERFLOW_TAU, UNDERFLOW_Q = 0.01, 1e-4
 # ... while q=5.85e-4 scales to 5e-324, the smallest subnormal double, so
@@ -220,11 +208,6 @@ def test_underflowed_pattern_is_listed():
     assert trie.to_text().splitlines()[-1].strip() == "b 0 *0"
 
 
-def test_underflowed_pattern_rejects_second_insert():
-    with pytest.raises(ValueError, match="twice"):
-        _trie([("ab", UNDERFLOW_Q), ("ab", UNDERFLOW_Q)], tau=UNDERFLOW_TAU)
-
-
 def test_zero_weight_edge_has_zero_path_probability():
     # the true probability of "cd" is 1e-400 / (1 + 1e-400), below float64
     trie = _trie([("ab", 1.0), ("cd", UNDERFLOW_Q)], tau=UNDERFLOW_TAU)
@@ -238,7 +221,7 @@ def test_lone_underflowed_pattern_is_drawn_with_probability_one():
     assert lone.path_probability("ab") == 1.0
     rng = np.random.default_rng(0)
     assert {lone.sample(rng) for _ in range(50)} == {"ab"}
-    assert lone.sample_distinct(4, rng) == ["ab"]
+    assert _draw(lone, 4, rng) == ["ab"]
 
 
 @pytest.mark.parametrize("q", [UNDERFLOW_Q, SUBNORMAL_Q])
@@ -266,7 +249,7 @@ def test_underflowed_equal_weights_are_drawn_evenly(q):
 @settings(max_examples=100, deadline=None)
 def test_sample_distinct_returns_min_k_count_distinct(patterns, k, seed):
     trie = _trie(sorted(patterns.items()), tau=0.3)
-    drawn = trie.sample_distinct(k, np.random.default_rng(seed))
+    drawn = _draw(trie, k, np.random.default_rng(seed))
     assert len(drawn) == min(k, len(patterns))
     assert len(set(drawn)) == len(drawn)
     assert set(drawn) <= set(patterns)
@@ -279,7 +262,7 @@ def test_sample_distinct_first_draw_follows_path_probabilities():
     n = 20_000
     counts = {}
     for _ in range(n):
-        first = trie.sample_distinct(3, rng)[0]
+        first = _draw(trie, 3, rng)[0]
         counts[first] = counts.get(first, 0) + 1
     for pattern, count in counts.items():
         assert count / n == pytest.approx(trie.path_probability(pattern), abs=0.015)
@@ -288,7 +271,7 @@ def test_sample_distinct_first_draw_follows_path_probabilities():
 def test_sample_distinct_rejects_bad_k():
     trie = _trie([("ab", 0.4)])
     with pytest.raises(ValueError):
-        trie.sample_distinct(0, np.random.default_rng(0))
+        trie.sample_positions(0, np.random.default_rng(0))
 
 
 @pytest.mark.parametrize(
@@ -319,7 +302,7 @@ def test_fit_sampler_samples_when_every_weight_underflows():
     assert dict(trie.iter_patterns()) == dict.fromkeys(qualities, 0.0)
     total = sum(trie.path_probability(p) for p in qualities)
     assert total == pytest.approx(1.0, abs=1e-9)
-    assert sorted(trie.sample_distinct(5, np.random.default_rng(0))) == sorted(qualities)
+    assert sorted(_draw(trie, 5, np.random.default_rng(0))) == sorted(qualities)
 
 
 def test_fit_sampler_single_perfect_pattern():
@@ -343,9 +326,13 @@ def test_fit_sampler_smin_zero_keeps_every_positive_pattern():
     index = PatternIndex.build(ds, 3)
     trie = fit_sampler(ds, index, labels, 3, 0.0, 1.0)
     inserted = {p for p, _ in trie.iter_patterns()}
+    sizes = np.array([2, 2])
     for l in index.lengths():
-        for pat in index.distinct_patterns(l):
-            q = pattern_quality(index.presence_vector(pat), labels)
+        for row in range(index.pattern_count(l)):
+            pat = index.row_text(l, row)
+            # per-class presence by substring search, not by the index
+            present = [sum(pat in s for s, c in zip(strings, labels) if c == k) for k in "12"]
+            q = chi2_normalized_many(np.array([present]), sizes)[0]
             assert (pat in inserted) == (q > 0)
 
 
@@ -363,6 +350,13 @@ def test_fit_sampler_checks_lmax_alignment():
     index = PatternIndex.build(ds, 3)
     with pytest.raises(ValueError):
         fit_sampler(ds, index, ["1", "2"], 4, 0.05, 0.5)
+
+
+def test_fit_sampler_rejects_labels_not_aligned_with_index():
+    ds = _dataset(["abab", "baba"], 2)
+    index = PatternIndex.build(ds, 3)
+    with pytest.raises(ValueError, match="align with the indexed instances"):
+        fit_sampler(ds, index, ["1", "2", "2"], 3, 0.05, 0.5)
 
 
 def _fit_reference(index, labels, s_min):

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from ps2c.dataset import LabeledDataset
 from ps2c.discretizer import SaxParams, discretize, sax_text
 from ps2c.pattern_index import PatternIndex
-from ps2c.sampler_trie import SamplerTrie
 from ps2c.shapelet_transform import (
     FeatureMatrix,
     Shapelet,
@@ -17,8 +16,8 @@ from ps2c.shapelet_transform import (
     _distance_matrix,
     _shared_rows,
     create_feature_sets,
-    min_distance,
 )
+from support import sampler_over
 
 LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
@@ -32,6 +31,12 @@ def _shapelet(values, pattern="ab", omega=1, alpha=4):
         source_index=0,
         symbol_offset=0,
     )
+
+
+def min_distance(series, shapelet):
+    """One series against one shapelet, through the batched kernel."""
+    padded = _PaddedRows.of([np.asarray(series, dtype=np.float64)])
+    return float(_distance_matrix(padded, [shapelet])[0, 0])
 
 
 def _min_distance_oracle(series, values):
@@ -53,7 +58,7 @@ def _index_for(dataset, params, l_max):
 
 def _ground(pattern, ds, d, index):
     """The shapelet create_feature_sets grounds from a sampler holding only ``pattern``."""
-    trie = SamplerTrie.from_patterns(index, {pattern: 1.0}, tau=1.0, s_min=0.0)
+    trie = sampler_over(index, {pattern: 1.0})
     train, _ = create_feature_sets(ds, ds, d, index, trie, 1, np.random.default_rng(0))
     return train.shapelets[0]
 
@@ -257,7 +262,7 @@ def test_create_feature_sets_deterministic():
 
 def test_create_feature_sets_k_exceeds_trie_patterns():
     train, test, d, index, _ = _fixture_cell()
-    trie = SamplerTrie.from_patterns(index, {"ab": 0.5, "ba": 0.5}, tau=1.0, s_min=0.0)
+    trie = sampler_over(index, {"ab": 0.5, "ba": 0.5})
     ftr, fte = create_feature_sets(train, test, d, index, trie, 4, np.random.default_rng(0))
     assert ftr.n_columns == 2  # min(k, pattern count) distinct draws
     assert fte.n_columns == 2
@@ -274,8 +279,7 @@ def test_create_feature_sets_rejects_empty_trie():
     train, test, d, index, _ = _fixture_cell()
     with pytest.raises(ValueError):
         create_feature_sets(
-            train, test, d, index, SamplerTrie.from_patterns(index, {}, tau=1.0, s_min=0.0), 4,
-            np.random.default_rng(0),
+            train, test, d, index, sampler_over(index, {}), 4, np.random.default_rng(0),
         )
 
 

@@ -1,17 +1,19 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from ps2c.dataset import znormalize_dataset
+from ps2c.dataset import class_codes, znormalize_dataset
 from ps2c.discretizer import SaxParams, discretize
 from ps2c.pattern_index import PatternIndex
-from ps2c.quality import pattern_quality
+from ps2c.quality import chi2_normalized_many
 from ps2c.synthgen import SynthSpec, generate
 
 
 def test_shapes_and_labels():
     ds = generate(SynthSpec(n_per_class=10, length=64, seed=0))
     assert ds.n_instances == 20
-    assert ds.class_counts() == {"1": 10, "2": 10}
+    assert Counter(ds.labels) == {"1": 10, "2": 10}
     assert set(ds.lengths) == {64}
 
 
@@ -69,13 +71,14 @@ def test_planted_motif_recoverable_as_strong_pattern():
             generate(SynthSpec(n_per_class=15, length=96, seed=seed))
         )
         best = 0.0
+        classes, class_of = class_codes(ds.labels)
+        sizes = np.bincount(class_of)
         for alpha, omega in ((4, 4), (5, 6), (3, 8)):
             d = discretize(ds, SaxParams(alpha, omega))
             index = PatternIndex.build(d, 8)
             for l in index.lengths():
-                for pat in index.distinct_patterns(l):
-                    q = pattern_quality(index.presence_vector(pat), ds.labels)
-                    best = max(best, q)
+                counts = index.presence_counts(l, class_of, len(classes))
+                best = max(best, float(chi2_normalized_many(counts, sizes).max()))
             if best >= 0.8:
                 break
         assert best >= 0.8, f"seed {seed}: best normalized chi2 {best}"
