@@ -163,7 +163,7 @@ def cmd_bench(args) -> int:
             merged = fit_transform(train, test, config, n_threads=args.threads)
             total = time.perf_counter() - t0
             for cell in merged.skipped:
-                cell.log()
+                cell.log_skip()
             cells = merged.cell_seconds
             fit_seconds = merged.timings["znormalize"] + sum(
                 cells[phase] for phase in ("discretize", "index", "score")

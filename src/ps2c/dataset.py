@@ -102,10 +102,6 @@ class LabeledDataset:
     def max_length(self) -> int:
         return max(self.lengths)
 
-    @property
-    def classes(self) -> tuple[str, ...]:
-        return tuple(sorted(set(self.labels)))
-
     def shared(self, key, build):
         """The memoised value of ``build()`` under ``key``.
 

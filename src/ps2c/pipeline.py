@@ -27,7 +27,7 @@ from .shapelet_transform import FeatureMatrix, create_feature_sets
 
 __all__ = [
     "PipelineConfig",
-    "SkippedCell",
+    "CellResult",
     "MergedFeatureSet",
     "ExperimentResult",
     "NoPatternsError",
@@ -84,12 +84,17 @@ class PipelineConfig:
 
 
 @dataclass(frozen=True)
-class SkippedCell:
+class CellResult:
+    """One grid cell: its phase seconds and feature blocks, or why it was skipped."""
+
     alpha: int
     omega: int
-    reason: str
+    seconds: dict[str, float]  # CELL_PHASES
+    train: FeatureMatrix | None = None
+    test: FeatureMatrix | None = None
+    reason: str = ""
 
-    def log(self) -> None:
+    def log_skip(self) -> None:
         logger.warning("skipping cell alpha=%d omega=%d: %s", self.alpha, self.omega, self.reason)
 
 
@@ -99,19 +104,9 @@ class MergedFeatureSet:
 
     train: FeatureMatrix
     test: FeatureMatrix
-    skipped: tuple[SkippedCell, ...]
+    skipped: tuple[CellResult, ...]
     timings: dict[str, float]  # wall seconds: znormalize, grid
     cell_seconds: dict[str, float]  # CELL_PHASES summed over cells
-
-
-@dataclass(frozen=True)
-class _CellOutcome:
-    alpha: int
-    omega: int
-    train: FeatureMatrix | None
-    test: FeatureMatrix | None
-    timings: dict[str, float]
-    reason: str = ""
 
 
 def _run_cell(
@@ -121,32 +116,32 @@ def _run_cell(
     ztest: LabeledDataset,
     config: PipelineConfig,
     master_seed: int,
-) -> _CellOutcome:
-    timings = {phase: 0.0 for phase in CELL_PHASES}
+) -> CellResult:
+    seconds = {phase: 0.0 for phase in CELL_PHASES}
     if omega >= ztrain.min_length:
         reason = f"omega {omega} >= shortest training series length {ztrain.min_length}"
-        return _CellOutcome(alpha, omega, None, None, timings, reason)
+        return CellResult(alpha, omega, seconds, reason=reason)
     t0 = time.perf_counter()
     dtrain = discretize(ztrain, SaxParams(alpha, omega))
     t1 = time.perf_counter()
-    timings["discretize"] = t1 - t0
+    seconds["discretize"] = t1 - t0
 
     index = PatternIndex.build(dtrain, config.l_max)
     t2 = time.perf_counter()
-    timings["index"] = t2 - t1
+    seconds["index"] = t2 - t1
     trie = fit_sampler(dtrain, index, ztrain.labels, config.l_max, config.s_min, config.tau)
     t3 = time.perf_counter()
-    timings["score"] = t3 - t2
+    seconds["score"] = t3 - t2
     if trie.is_empty:
-        return _CellOutcome(alpha, omega, None, None, timings, "no pattern reached s_min")
+        return CellResult(alpha, omega, seconds, reason="no pattern reached s_min")
 
     # Stream keyed on (seed, alpha, omega): independent of scheduling order.
     rng = np.random.default_rng([master_seed, alpha, omega])
     train_fm, test_fm = create_feature_sets(
         ztrain, ztest, dtrain, index, trie, config.k, rng
     )
-    timings["transform"] = time.perf_counter() - t3
-    return _CellOutcome(alpha, omega, train_fm, test_fm, timings)
+    seconds["transform"] = time.perf_counter() - t3
+    return CellResult(alpha, omega, seconds, train_fm, test_fm)
 
 
 def merge(matrices) -> FeatureMatrix:
@@ -174,11 +169,14 @@ def fit_transform(
 
     Cells whose window cannot fit the shortest training series, or
     whose sampler accepts no pattern, are skipped and returned with
-    their reasons for the caller to log (``SkippedCell.log``);
-    NoPatternsError counts the reasons when every cell is. Test labels
-    are never read: the transform touches test series values only.
+    their reasons for the caller to log (``CellResult.log_skip``);
+    NoPatternsError counts the reasons when every cell is. After the
+    grid, each shapelet longer than some series of a split is logged
+    once per split, in grid order and train before test, so the log is
+    the same at any thread count. Test labels are never read: the
+    transform touches test series values only.
     """
-    if len(train.classes) < 2:
+    if len(set(train.labels)) < 2:
         raise ValueError("training split must contain at least two classes")
     if n_threads < 1:
         raise ValueError(f"n_threads must be >= 1, got {n_threads}")
@@ -199,42 +197,46 @@ def fit_transform(
     if n_threads > 1:
         # map cancels the cells not yet started once one raises
         with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            outcomes = list(pool.map(run, cells))
+            results = tuple(pool.map(run, cells))
     else:
-        outcomes = [run(cell) for cell in cells]
+        results = tuple(run(cell) for cell in cells)
 
     timings = {"znormalize": znorm_seconds, "grid": time.perf_counter() - t1}
-    cell_seconds = {phase: 0.0 for phase in CELL_PHASES}
-    skipped: list[SkippedCell] = []
-    train_blocks: list[FeatureMatrix] = []
-    test_blocks: list[FeatureMatrix] = []
-    for outcome in outcomes:  # ascending (alpha, omega)
-        for phase in CELL_PHASES:
-            cell_seconds[phase] += outcome.timings[phase]
-        if outcome.train is None:
-            skipped.append(SkippedCell(outcome.alpha, outcome.omega, outcome.reason))
-        else:
-            train_blocks.append(outcome.train)
-            test_blocks.append(outcome.test)
+    cell_seconds = {phase: sum(c.seconds[phase] for c in results) for phase in CELL_PHASES}
+    ran = [c for c in results if c.train is not None]  # ascending (alpha, omega)
+    skipped = tuple(c for c in results if c.train is None)
+    split_lengths = (np.array(ztrain.lengths), np.array(ztest.lengths))
+    for cell in ran:
+        for lengths, block in zip(split_lengths, (cell.train, cell.test)):
+            for shapelet in block.shapelets:
+                s = shapelet.values.size
+                short = int(np.count_nonzero(lengths < s))
+                if short:
+                    logger.warning(
+                        "shapelet length %d exceeds series length in %d of %d series; "
+                        "using single head alignment",
+                        s,
+                        short,
+                        lengths.size,
+                    )
 
-    if not train_blocks:
+    if not ran:
         reasons = Counter(c.reason for c in skipped)
         counted = "; ".join(f"{n} cell{'s' * (n != 1)}: {r}" for r, n in sorted(reasons.items()))
         raise NoPatternsError(f"no discriminative patterns found ({counted})")
     return MergedFeatureSet(
-        merge(train_blocks), merge(test_blocks), tuple(skipped), timings, cell_seconds
+        merge(c.train for c in ran), merge(c.test for c in ran), skipped, timings, cell_seconds
     )
 
 
 def train_classifier(features, labels, seed=0) -> RandomForest:
     """Fit the built-in seeded forest on a feature matrix."""
-    values = getattr(features, "values", features)
-    return RandomForest(seed=seed).fit(values, labels)
+    return RandomForest(seed=seed).fit(features.values, labels)
 
 
 def evaluate(model, features, labels) -> float:
     """Fraction of correct predictions on a feature matrix."""
-    values = getattr(features, "values", features)
+    values = features.values
     labels = np.array([str(c) for c in labels])
     check_aligned(labels, values.shape[0])
     return float(np.mean(model.predict(values) == labels))
@@ -244,7 +246,7 @@ def evaluate(model, features, labels) -> float:
 class ExperimentResult:
     accuracies: tuple[float, ...]
     timings: dict[str, float]  # wall seconds: znormalize, grid, train
-    skipped: tuple[SkippedCell, ...]
+    skipped: tuple[CellResult, ...]
     n_columns: tuple[int, ...]
     total_seconds: float
     cell_seconds: dict[str, float] = field(default_factory=dict)  # CELL_PHASES summed over cells
@@ -282,7 +284,7 @@ def run_experiment(
     cell_seconds = {phase: 0.0 for phase in CELL_PHASES}
     accuracies: list[float] = []
     widths: list[int] = []
-    skipped_union: dict[tuple[int, int], SkippedCell] = {}
+    skipped_union: dict[tuple[int, int], CellResult] = {}
 
     for i in range(n_resamples):
         master = config.seed + i
@@ -304,7 +306,7 @@ def run_experiment(
         for cell in merged.skipped:
             key = (cell.alpha, cell.omega)
             if key not in skipped_union:
-                cell.log()
+                cell.log_skip()
                 skipped_union[key] = cell
         if on_resample is not None:
             on_resample(i, split, merged)

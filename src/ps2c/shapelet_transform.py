@@ -22,7 +22,6 @@ grid cell's call transforms only its own shapelets.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -34,8 +33,6 @@ from .pattern_index import PatternIndex
 from .sampler_trie import SamplerTrie
 
 __all__ = ["Shapelet", "FeatureMatrix", "create_feature_sets"]
-
-logger = logging.getLogger(__name__)
 
 _EPS = np.finfo(np.float64).eps
 # Most offsets per row, besides the best FFT score, that the exact
@@ -144,8 +141,7 @@ def _distance_matrix(padded: _PaddedRows, shapelets) -> np.ndarray:
     shapelet. In row i only the offsets 0..n_i-s are real alignments;
     the rest run into the padding and are masked to +inf (equal-length
     data needs no mask). A row shorter than the shapelet takes the
-    single alignment of the series against the shapelet's head, with
-    one warning per shapelet giving how many rows did.
+    single alignment of the series against the shapelet's head.
 
     The best FFT score of each row is re-evaluated with the direct
     formula, together with at most ``_NEAR_TIES`` further offsets whose
@@ -162,9 +158,7 @@ def _distance_matrix(padded: _PaddedRows, shapelets) -> np.ndarray:
     product = np.empty_like(spectra)
     correlation = np.empty((lengths.size, fft_len))
     window_energy = np.empty((lengths.size, n_max))
-    shapelet_values = [
-        np.asarray(getattr(shapelet, "values", shapelet), dtype=np.float64) for shapelet in shapelets
-    ]
+    shapelet_values = [shapelet.values for shapelet in shapelets]
     padded = np.zeros((len(shapelet_values), fft_len))
     for j, values in enumerate(shapelet_values):
         if values.size <= n_max:
@@ -212,13 +206,6 @@ def _distance_matrix(padded: _PaddedRows, shapelets) -> np.ndarray:
             np.minimum.at(column, rows, (delta * delta).sum(axis=1) / s)
             out[:, j] = column
         if short.any():
-            logger.warning(
-                "shapelet length %d exceeds series length in %d of %d series; "
-                "using single head alignment",
-                s,
-                int(short.sum()),
-                lengths.size,
-            )
             head = min(s, n_max)
             delta = stacked[short, :head] - values[:head]
             sq = delta * delta

@@ -13,7 +13,7 @@ import pytest
 from ps2c import cli
 from ps2c.cli import build_parser, main
 from ps2c.dataset import LabeledDataset
-from ps2c.pipeline import SkippedCell, fit_transform
+from ps2c.pipeline import CellResult, fit_transform
 from ps2c.synthgen import SynthSpec, generate
 from support import save_ucr
 
@@ -190,7 +190,8 @@ def test_run_threads_1_and_2_byte_identical(data_paths, capsys, tmp_path):
     assert outputs[0] == outputs[1]
 
 
-def test_run_threads_1_and_2_byte_identical_on_mixed_lengths(capsys, tmp_path):
+def _mixed_length_paths(tmp_path):
+    """Train and test files of 36-56 points, shorter than the longest shapelets."""
     rng = np.random.default_rng(3)
     paths = []
     for name, seed in (("train", 0), ("test", 1)):
@@ -199,6 +200,11 @@ def test_run_threads_1_and_2_byte_identical_on_mixed_lengths(capsys, tmp_path):
         path = tmp_path / f"{name}.csv"
         save_ucr(LabeledDataset(cut, full.labels), path)
         paths.append(str(path))
+    return paths
+
+
+def test_run_threads_1_and_2_byte_identical_on_mixed_lengths(capsys, tmp_path):
+    paths = _mixed_length_paths(tmp_path)
     outputs = []
     for threads in ("1", "2"):
         out = tmp_path / f"t{threads}"
@@ -211,6 +217,21 @@ def test_run_threads_1_and_2_byte_identical_on_mixed_lengths(capsys, tmp_path):
         outputs.append({p.name: p.read_bytes() for p in out.iterdir() if p.name != "timings.json"})
     assert len(outputs[0]) == 5
     assert outputs[0] == outputs[1]
+
+
+def test_run_warnings_are_the_same_at_any_thread_count(capsys, tmp_path):
+    paths = _mixed_length_paths(tmp_path)
+    runs = []
+    for threads in ("1", "2", "2", "2"):
+        code, _, stderr = _run(
+            capsys,
+            ["run", *paths, "--resamples", "2", "--threads", threads,
+             "--out", str(tmp_path / "out")],
+        )
+        assert code == 0
+        runs.append([line for line in stderr.splitlines() if line.startswith("WARNING ")])
+    assert runs[0]  # some shapelets outgrow some series
+    assert runs[1:] == [runs[0]] * 3
 
 
 def test_import_cli_loads_no_scipy():
@@ -414,7 +435,7 @@ def test_bench_two_sizes(capsys):
 def test_bench_logs_skipped_cells(capsys, caplog, monkeypatch):
     def skipping_fit_transform(*args, **kwargs):
         merged = fit_transform(*args, **kwargs)
-        return dataclasses.replace(merged, skipped=(SkippedCell(9, 7, "for the test"),))
+        return dataclasses.replace(merged, skipped=(CellResult(9, 7, {}, reason="for the test"),))
 
     monkeypatch.setattr(cli, "fit_transform", skipping_fit_transform)
     with caplog.at_level("WARNING", logger="ps2c.pipeline"):
@@ -427,7 +448,7 @@ def test_bench_logs_skipped_cells(capsys, caplog, monkeypatch):
 def test_warnings_print_once_per_call_and_quiet_prints_none(capsys, monkeypatch):
     def skipping_fit_transform(*args, **kwargs):
         merged = fit_transform(*args, **kwargs)
-        return dataclasses.replace(merged, skipped=(SkippedCell(9, 7, "for the test"),))
+        return dataclasses.replace(merged, skipped=(CellResult(9, 7, {}, reason="for the test"),))
 
     monkeypatch.setattr(cli, "fit_transform", skipping_fit_transform)
     package = logging.getLogger("ps2c")

@@ -39,7 +39,7 @@ def test_load_two_lines_two_classes(tmp_path):
     path = _write(tmp_path, "1,0,1,2\n2,3,4,5\n")
     ds = load_ucr(path)
     assert ds.n_instances == 2
-    assert ds.classes == ("1", "2")
+    assert class_codes(ds.labels)[0] == ("1", "2")
 
 
 def test_load_tab_delimited(tmp_path):

@@ -1,4 +1,8 @@
+import itertools
+import re
+import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -241,6 +245,70 @@ def test_fit_transform_requires_two_classes():
         fit_transform(ones, ds, PipelineConfig())
 
 
+def test_long_shapelet_is_logged_once_per_split(caplog):
+    # every accepted pattern spans both symbols of a length-10 series, so
+    # each sampled shapelet has length 10; three test series are shorter
+    rng = np.random.default_rng(4)
+    test = LabeledDataset(
+        tuple(rng.normal(size=n) for n in (5, 12, 6, 15, 7)), ("1", "2", "1", "2", "1")
+    )
+    step = np.r_[-np.ones(5), np.ones(5)]
+    train = LabeledDataset(
+        tuple(sign * step + 0.05 * rng.normal(size=10) for sign in (1, 1, 1, -1, -1, -1)),
+        ("1", "1", "1", "2", "2", "2"),
+    )
+    cfg = PipelineConfig(alphas=(2,), omegas=(5,), l_max=2, k=1)
+    with caplog.at_level("WARNING", logger="ps2c"):
+        merged = fit_transform(train, test, cfg)
+    assert [sh.values.size for sh in merged.train.shapelets] == [10]
+    assert [(r.name, r.getMessage()) for r in caplog.records] == [(
+        "ps2c.pipeline",
+        "shapelet length 10 exceeds series length in 3 of 5 series; using single head alignment",
+    )]
+
+
+def _cut_to_random_lengths(dataset, rng, low):
+    return LabeledDataset(
+        tuple(x[: int(rng.integers(low, x.size + 1))] for x in dataset.series), dataset.labels
+    )
+
+
+def _expected_long_shapelet_messages(merged, train, test):
+    """Grid order, and in each cell the train split before the test split."""
+    messages = []
+    for _, group in itertools.groupby(merged.train.shapelets, lambda sh: (sh.alpha, sh.omega)):
+        group = list(group)
+        for split in (train, test):
+            for sh in group:
+                short = sum(n < sh.values.size for n in split.lengths)
+                if short:
+                    messages.append(
+                        f"shapelet length {sh.values.size} exceeds series length in {short} "
+                        f"of {split.n_instances} series; using single head alignment"
+                    )
+    return messages
+
+
+def test_every_record_is_logged_by_the_calling_thread_in_grid_order(caplog):
+    rng = np.random.default_rng(5)
+    train, test = (_cut_to_random_lengths(ds, rng, 24) for ds in _planted(6, 40))
+    cfg = PipelineConfig(alphas=(2, 3, 4), omegas=(2, 3, 4))
+    with caplog.at_level("WARNING", logger="ps2c"):
+        merged = fit_transform(train, test, cfg, n_threads=2)
+    messages = [r.getMessage() for r in caplog.records]
+    assert messages == _expected_long_shapelet_messages(merged, train, test)
+    assert messages  # shapelets of up to 20 x 4 points outgrow some series
+    assert {r.thread for r in caplog.records} == {threading.get_ident()}
+
+    # only the pipeline logs, and only the CLI attaches a handler
+    importers = {
+        path.name
+        for path in Path(pipeline.__file__).parent.glob("*.py")
+        if re.search(r"^\s*(import|from)\s+logging\b", path.read_text(), re.MULTILINE)
+    }
+    assert importers <= {"pipeline.py", "cli.py"}
+
+
 def test_merge_examples():
     a = FeatureMatrix(np.ones((5, 4)), [_shapelet([1, 2])] * 4)
     b = FeatureMatrix(np.zeros((5, 4)), [_shapelet([3, 4])] * 4)
@@ -258,17 +326,17 @@ def test_train_and_evaluate_perfectly_separable():
     y = ["A", "A", "B", "B"]
     model = train_classifier(FeatureMatrix(X, [_shapelet([1, 2])]), y, seed=0)
     assert evaluate(model, FeatureMatrix(X, [_shapelet([1, 2])]), y) == 1.0
-    assert evaluate(model, X, ["B", "B", "A", "A"]) == 0.0
-    assert evaluate(model, X, ["A", "B", "A", "B"]) == 0.5
+    assert evaluate(model, FeatureMatrix(X, []), ["B", "B", "A", "A"]) == 0.0
+    assert evaluate(model, FeatureMatrix(X, []), ["A", "B", "A", "B"]) == 0.5
 
 
 def test_evaluate_schema_mismatch():
     X = np.array([[0.0, 1.0], [1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
-    model = train_classifier(X, ["A", "B", "A", "B"], seed=0)
+    model = train_classifier(FeatureMatrix(X, []), ["A", "B", "A", "B"], seed=0)
     with pytest.raises(ValueError):
-        evaluate(model, np.zeros((2, 5)), ["A", "B"])
+        evaluate(model, FeatureMatrix(np.zeros((2, 5)), []), ["A", "B"])
     with pytest.raises(ValueError, match="align"):
-        evaluate(model, X, ["A", "B"])
+        evaluate(model, FeatureMatrix(X, []), ["A", "B"])
 
 
 def test_run_experiment_single_resample_is_original_split():

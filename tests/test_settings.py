@@ -75,7 +75,8 @@ CASES = [
      "labels must align with the matrix rows")
     for name, call in {
         "RandomForest.fit": RandomForest(n_trees=1).fit,
-        "evaluate": lambda values, labels: evaluate(RandomForest(), values, labels),
+        "evaluate": lambda values, labels: evaluate(
+            RandomForest(), FeatureMatrix(values, []), labels),
         "FeatureMatrix.to_csv": lambda values, labels: FeatureMatrix(values, []).to_csv(
             os.devnull, labels),
     }.items()
