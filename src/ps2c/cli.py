@@ -84,11 +84,11 @@ def cmd_run(args) -> int:
     test = load_ucr(args.test)
     out_dir = Path(args.out)
 
-    def emit(i, split, merged):
+    def emit(i, train_i, test_i, merged):
         out_dir.mkdir(parents=True, exist_ok=True)
         if args.emit_features:
-            merged.train.to_csv(out_dir / f"features_train_{i}.csv", labels=split.train.labels)
-            merged.test.to_csv(out_dir / f"features_test_{i}.csv", labels=split.test.labels)
+            merged.train.to_csv(out_dir / f"features_train_{i}.csv", labels=train_i.labels)
+            merged.test.to_csv(out_dir / f"features_test_{i}.csv", labels=test_i.labels)
 
     result = run_experiment(
         train, test, config, args.resamples, n_threads=args.threads, on_resample=emit

@@ -14,7 +14,6 @@ import numpy as np
 
 __all__ = [
     "LabeledDataset",
-    "SplitPair",
     "UcrFormatError",
     "check_aligned",
     "class_codes",
@@ -69,7 +68,7 @@ class LabeledDataset:
     per omega, the distance kernel's padded rows and spectra) are
     memoised on the dataset by :meth:`shared`, so they live as long as
     the split does. The memo takes no part in ``==``, ``hash`` or
-    ``repr``, and every dataset, including those made by ``subset``,
+    ``repr``, and every dataset, including those made by
     ``znormalize_dataset`` and ``resample_split``, starts with an empty
     one.
     """
@@ -98,10 +97,6 @@ class LabeledDataset:
     def min_length(self) -> int:
         return min(self.lengths)
 
-    @property
-    def max_length(self) -> int:
-        return max(self.lengths)
-
     def shared(self, key, build):
         """The memoised value of ``build()`` under ``key``.
 
@@ -114,26 +109,6 @@ class LabeledDataset:
             return self._memo[key]
         except KeyError:
             return self._memo.setdefault(key, build())
-
-    def subset(self, indices) -> "LabeledDataset":
-        return LabeledDataset(
-            tuple(self.series[i] for i in indices),
-            tuple(self.labels[i] for i in indices),
-        )
-
-
-@dataclass(frozen=True)
-class SplitPair:
-    """A train/test partition of a pooled dataset.
-
-    ``stratified`` is False when per-class resampling was infeasible and
-    an unstratified shuffle was used instead.
-    """
-
-    train: LabeledDataset
-    test: LabeledDataset
-    seed: int
-    stratified: bool = True
 
 
 def load_ucr(path) -> LabeledDataset:
@@ -226,25 +201,23 @@ def znormalize_dataset(dataset: LabeledDataset) -> LabeledDataset:
     )
 
 
-def resample_split(train: LabeledDataset, test: LabeledDataset, seed: int) -> SplitPair:
-    """Reshuffle the pooled instances into a new train/test split.
+def resample_split(
+    train: LabeledDataset, test: LabeledDataset, seed: int
+) -> tuple[LabeledDataset, LabeledDataset]:
+    """Reshuffle the pooled instances into a new ``(train, test)`` split.
 
-    Seed 0 is reserved and returns the original split unchanged. Other
-    seeds shuffle the pool with a seeded generator and re-partition it,
-    preserving the original split sizes and, where feasible, the
-    original per-class counts of the train split. Stratification falls
-    back to a plain shuffle (flagged on the result) when some class has
-    a single pooled instance or is absent from the original train
-    split.
+    Every seed shuffles the pool with a seeded generator and
+    re-partitions it, preserving the original split sizes and, where
+    feasible, the original per-class counts of the train split.
+    Stratification falls back to a plain shuffle when some class has a
+    single pooled instance or is absent from the original train split.
+    :func:`ps2c.pipeline.run_experiment` keeps the caller's split on
+    resample 0 and calls this for resamples i >= 1 only.
     """
-    if train.n_instances + test.n_instances < 4:
-        raise ValueError("pooled split needs at least 4 instances")
-    if seed == 0:
-        return SplitPair(train, test, 0, stratified=True)
-
     pool_series = train.series + test.series
     pool_labels = train.labels + test.labels
-    pool = LabeledDataset(pool_series, pool_labels)
+    if len(pool_labels) < 4:
+        raise ValueError("pooled split needs at least 4 instances")
     n_train = train.n_instances
 
     pool_counts = Counter(pool_labels)
@@ -254,7 +227,7 @@ def resample_split(train: LabeledDataset, test: LabeledDataset, seed: int) -> Sp
     ) == set(train_counts)
 
     rng = np.random.default_rng(seed)
-    perm = rng.permutation(pool.n_instances)
+    perm = rng.permutation(len(pool_labels))
     if stratifiable:
         quota = dict(train_counts)
         train_idx: list[int] = []
@@ -270,6 +243,9 @@ def resample_split(train: LabeledDataset, test: LabeledDataset, seed: int) -> Sp
         train_idx = [int(i) for i in perm[:n_train]]
         test_idx = [int(i) for i in perm[n_train:]]
 
-    return SplitPair(
-        pool.subset(train_idx), pool.subset(test_idx), seed, stratified=stratifiable
-    )
+    def split(indices) -> LabeledDataset:
+        return LabeledDataset(
+            tuple(pool_series[i] for i in indices), tuple(pool_labels[i] for i in indices)
+        )
+
+    return split(train_idx), split(test_idx)

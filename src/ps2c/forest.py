@@ -51,9 +51,7 @@ def _grow_rows(
     k = X.shape[1]
     features = rng.choice(k, size=min(m, k), replace=False)
     # the gathered columns are freed before the recursion below
-    column, threshold = _best_split(
-        X[rows[:, None], features], labels, np.arange(features.size), counts
-    )
+    column, threshold = _best_split(X[rows[:, None], features], labels, counts)
     if column < 0:
         return node
 
@@ -65,10 +63,10 @@ def _grow_rows(
     return node
 
 
-def _best_split(X: np.ndarray, y: np.ndarray, features: np.ndarray, counts: np.ndarray) -> tuple[int, float]:
-    """The (feature, threshold) of least weighted Gini, or (-1, 0.0) if none splits.
+def _best_split(X: np.ndarray, y: np.ndarray, counts: np.ndarray) -> tuple[int, float]:
+    """The (column, threshold) of least weighted Gini, or (-1, 0.0) if none splits.
 
-    All candidate features are searched together: one stable sort of the
+    All columns of ``X`` are searched together: one stable sort of the
     (n, features) block, one cumulative sum of the one-hot labels into
     (n, features, classes), and the Gini of every boundary. Boundaries
     between equal values score +inf. The first minimum per feature, then
@@ -85,9 +83,8 @@ def _best_split(X: np.ndarray, y: np.ndarray, features: np.ndarray, counts: np.n
     best_feature = -1
     best_threshold = 0.0
     block = max(1, _BLOCK_ELEMENTS // (n * n_classes))
-    for first in range(0, features.size, block):
-        chosen = features[first : first + block]
-        cols = X[:, chosen]
+    for first in range(0, X.shape[1], block):
+        cols = X[:, first : first + block]
         order = np.argsort(cols, axis=0, kind="stable")
         xs = np.take_along_axis(cols, order, axis=0)
         left = np.cumsum(onehot[order], axis=0)[:-1]
@@ -97,11 +94,11 @@ def _best_split(X: np.ndarray, y: np.ndarray, features: np.ndarray, counts: np.n
         weighted = (nl * gini_left + nr * gini_right) / n
         weighted[~(xs[1:] > xs[:-1])] = np.inf  # no cut between equal values
         cut = weighted.argmin(axis=0)
-        scores = weighted[cut, np.arange(chosen.size)]
+        scores = weighted[cut, np.arange(cols.shape[1])]
         f = int(scores.argmin())
         if scores[f] < best_score:
             best_score = float(scores[f])
-            best_feature = int(chosen[f])
+            best_feature = first + f
             lo, hi = xs[cut[f], f], xs[cut[f] + 1, f]
             threshold = 0.5 * (lo + hi)
             if threshold >= hi:  # midpoint collapsed onto the upper value

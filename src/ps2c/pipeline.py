@@ -271,11 +271,14 @@ def run_experiment(
 ) -> ExperimentResult:
     """Repeat split -> transform -> train -> score over shuffled resamples.
 
-    Resample 0 keeps the original split; resample i >= 1 re-partitions
-    the pooled data with seed config.seed + i. The same per-resample
-    seed drives pattern sampling and the classifier, so the accuracy
-    vector is reproducible byte for byte. Each skipped cell is logged
-    once, on the first resample that skips it.
+    This function owns the resample schedule: resample 0 runs on the
+    caller's own ``train`` and ``test``, and resample i >= 1 on
+    ``resample_split(train, test, config.seed + i)``. The same
+    per-resample seed drives pattern sampling and the classifier, so the
+    accuracy vector is reproducible byte for byte. Each skipped cell is
+    logged once, on the first resample that skips it. After each
+    resample, ``on_resample(i, train_i, test_i, merged)`` receives its
+    index, its two splits and its ``MergedFeatureSet``.
     """
     if n_resamples < 1:
         raise ValueError(f"n_resamples must be >= 1, got {n_resamples}")
@@ -288,13 +291,11 @@ def run_experiment(
 
     for i in range(n_resamples):
         master = config.seed + i
-        split = resample_split(train, test, 0 if i == 0 else master)
-        merged = fit_transform(
-            split.train, split.test, config, n_threads=n_threads, master_seed=master
-        )
+        train_i, test_i = (train, test) if i == 0 else resample_split(train, test, master)
+        merged = fit_transform(train_i, test_i, config, n_threads=n_threads, master_seed=master)
         t_fit = time.perf_counter()
-        model = train_classifier(merged.train, split.train.labels, seed=master)
-        accuracy = evaluate(model, merged.test, split.test.labels)
+        model = train_classifier(merged.train, train_i.labels, seed=master)
+        accuracy = evaluate(model, merged.test, test_i.labels)
         timings["train"] += time.perf_counter() - t_fit
 
         for phase, seconds in merged.timings.items():
@@ -309,7 +310,7 @@ def run_experiment(
                 cell.log_skip()
                 skipped_union[key] = cell
         if on_resample is not None:
-            on_resample(i, split, merged)
+            on_resample(i, train_i, test_i, merged)
 
     skipped = tuple(skipped_union[key] for key in sorted(skipped_union))
     total = time.perf_counter() - t_start

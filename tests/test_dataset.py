@@ -19,6 +19,7 @@ from ps2c.dataset import (
     znormalize,
     znormalize_dataset,
 )
+from ps2c.pipeline import PipelineConfig, run_experiment
 from support import save_ucr
 
 
@@ -102,7 +103,7 @@ def test_load_ragged_lengths_allowed(tmp_path):
     path = _write(tmp_path, "1,0,1,2,3\n2,4,5\n")
     ds = load_ucr(path)
     assert ds.lengths == (4, 2)
-    assert ds.min_length == 2 and ds.max_length == 4
+    assert ds.min_length == 2 and max(ds.lengths) == 4
 
 
 def test_load_errors(tmp_path):
@@ -196,46 +197,56 @@ def _pair(n_train=6, n_test=4, seed=0):
 
 
 def test_resample_seed_zero_is_original():
+    # run_experiment, not resample_split, keeps the caller's split on resample 0
     train, test = _pair()
-    split = resample_split(train, test, 0)
-    assert split.train is train and split.test is test
-    assert split.seed == 0
+    seen = []
+    cfg = PipelineConfig(alphas=(2,), omegas=(2,))
+    run_experiment(
+        train, test, cfg, n_resamples=1, on_resample=lambda i, tr, te, _: seen.append((i, tr, te))
+    )
+    assert len(seen) == 1 and seen[0][0] == 0
+    assert seen[0][1] is train and seen[0][2] is test
+    # no seed is reserved: resample_split copies the pool at seed 0 too
+    assert resample_split(train, test, 0)[0] is not train
 
 
 def test_resample_deterministic_and_seed_sensitive():
     train, test = _pair()
-    s1 = resample_split(train, test, 1)
-    s1b = resample_split(train, test, 1)
-    s2 = resample_split(train, test, 2)
-    assert s1.train.labels == s1b.train.labels
+    s1_train, _ = resample_split(train, test, 1)
+    s1b_train, _ = resample_split(train, test, 1)
+    s2_train, _ = resample_split(train, test, 2)
+    assert s1_train.labels == s1b_train.labels
     assert all(
-        np.array_equal(a, b) for a, b in zip(s1.train.series, s1b.train.series)
+        np.array_equal(a, b) for a, b in zip(s1_train.series, s1b_train.series)
     )
     # seeds 1 and 2 on a 10-instance pool: collision essentially impossible
     same = all(
-        np.array_equal(a, b) for a, b in zip(s1.train.series, s2.train.series)
+        np.array_equal(a, b) for a, b in zip(s1_train.series, s2_train.series)
     )
     assert not same
 
 
 def test_resample_preserves_pool_and_sizes():
     train, test = _pair()
-    split = resample_split(train, test, 7)
-    assert split.train.n_instances == train.n_instances
-    assert split.test.n_instances == test.n_instances
+    split_train, split_test = resample_split(train, test, 7)
+    assert split_train.n_instances == train.n_instances
+    assert split_test.n_instances == test.n_instances
     key = lambda ds: sorted(
         (tuple(s), c) for s, c in zip(ds.series, ds.labels)
     )
-    assert sorted(key(split.train) + key(split.test)) == sorted(
+    assert sorted(key(split_train) + key(split_test)) == sorted(
         key(train) + key(test)
     )
 
 
 def test_resample_stratified_counts():
     train, test = _pair(8, 6)
-    split = resample_split(train, test, 5)
-    assert split.stratified
-    assert Counter(split.train.labels) == Counter(train.labels)
+    split_train, _ = resample_split(train, test, 5)
+    assert Counter(split_train.labels) == Counter(train.labels)
+    # a plain shuffle at this seed would not keep the counts
+    pool_labels = train.labels + test.labels
+    plain = [pool_labels[i] for i in np.random.default_rng(5).permutation(14)[:8]]
+    assert Counter(plain) != Counter(train.labels)
 
 
 def test_resample_unstratifiable_falls_back():
@@ -245,15 +256,21 @@ def test_resample_unstratifiable_falls_back():
         ("1", "2", "9"),
     )
     test = LabeledDataset((np.zeros(4) + 4, np.zeros(4) + 5), ("1", "2"))
-    split = resample_split(train, test, 3)
-    assert not split.stratified
-    assert split.train.n_instances == 3
+    split_train, split_test = resample_split(train, test, 3)
+    assert split_train.n_instances == 3
+    # the plain shuffle's training split is the pool's first 3 permuted instances
+    pool_series = train.series + test.series
+    pool_labels = train.labels + test.labels
+    perm = np.random.default_rng(3).permutation(5)
+    for split, indices in ((split_train, perm[:3]), (split_test, perm[3:])):
+        assert split.labels == tuple(pool_labels[i] for i in indices)
+        assert all(np.array_equal(s, pool_series[i]) for s, i in zip(split.series, indices))
 
 
 def test_resample_pool_too_small():
     ds = LabeledDataset((np.zeros(4), np.ones(4)), ("1", "2"))
     with pytest.raises(ValueError, match="at least 4"):
-        resample_split(ds, ds.subset([0]), 1)
+        resample_split(ds, LabeledDataset((np.zeros(4),), ("1",)), 1)
 
 
 def test_memo_takes_no_part_in_eq_hash_or_repr():
@@ -277,10 +294,14 @@ def test_derived_datasets_start_with_an_empty_memo():
     test = LabeledDataset(tuple(np.arange(5.0) * i for i in range(4)), ("a", "b", "b", "a"))
     for ds in (train, test):
         ds.shared("key", lambda: np.zeros(2))
-    split = resample_split(train, test, 3)
-    derived = [train.subset([0, 2]), znormalize_dataset(train), split.train, split.test]
+    split_train, split_test = resample_split(train, test, 3)
+    derived = [
+        LabeledDataset(train.series[::2], train.labels[::2]),
+        znormalize_dataset(train),
+        split_train,
+        split_test,
+    ]
     assert all(ds._memo == {} for ds in derived)
-    assert resample_split(train, test, 0).train is train  # seed 0 keeps the split, memo included
 
 
 def test_concurrent_first_access_returns_one_stored_value():

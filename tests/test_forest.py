@@ -206,7 +206,7 @@ def test_batched_split_search_memory_stays_near_reference():
 
     tracemalloc.start()
     try:
-        forest._best_split(X, codes, np.arange(140), np.bincount(codes))
+        forest._best_split(X, codes, np.bincount(codes))
         search_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from ps2c import pipeline
-from ps2c.dataset import LabeledDataset, znormalize_dataset
+from ps2c.dataset import LabeledDataset, resample_split, znormalize_dataset
 from ps2c.discretizer import SaxParams, discretize
 from ps2c.pattern_index import PatternIndex
 from ps2c.pipeline import (
@@ -240,7 +240,10 @@ def test_all_underflowing_cells_yield_features():
 
 def test_fit_transform_requires_two_classes():
     ds = generate(SynthSpec(n_per_class=4, length=32, seed=0))
-    ones = ds.subset([i for i, c in enumerate(ds.labels) if c == "1"])
+    ones = LabeledDataset(
+        tuple(x for x, c in zip(ds.series, ds.labels) if c == "1"),
+        tuple(c for c in ds.labels if c == "1"),
+    )
     with pytest.raises(ValueError, match="two classes"):
         fit_transform(ones, ds, PipelineConfig())
 
@@ -364,14 +367,28 @@ def test_run_experiment_resamples_vary_split():
     cfg = PipelineConfig(alphas=(3,), omegas=(3,), seed=1)
     seen = []
 
-    def capture(i, split, merged):
-        seen.append((i, split.seed, split.train.labels))
+    def capture(i, train_i, test_i, merged):
+        seen.append((i, train_i, test_i))
 
     run_experiment(train, test, cfg, n_resamples=3, on_resample=capture)
     assert [s[0] for s in seen] == [0, 1, 2]
-    assert seen[0][1] == 0  # resample 0 keeps the original split
-    assert seen[1][1] == cfg.seed + 1
-    assert seen[2][1] == cfg.seed + 2
+    assert seen[0][1] is train and seen[0][2] is test  # resample 0 keeps the original split
+    for i in (1, 2):
+        expected = resample_split(train, test, cfg.seed + i)
+        for got, want in zip(seen[i][1:], expected):
+            assert got.labels == want.labels
+            assert all(np.array_equal(a, b) for a, b in zip(got.series, want.series))
+
+
+def test_one_resample_needs_no_pool_of_four():
+    # resample 0 draws no resample, so a pool of 3 runs; a second resample needs 4
+    step = np.r_[-np.ones(8), np.ones(8)]
+    train = LabeledDataset((step, -step), ("1", "2"))
+    test = LabeledDataset((step + 0.1,), ("1",))
+    cfg = PipelineConfig(alphas=(2,), omegas=(2,))
+    assert len(run_experiment(train, test, cfg, n_resamples=1).accuracies) == 1
+    with pytest.raises(ValueError, match="pooled split needs at least 4 instances"):
+        run_experiment(train, test, cfg, n_resamples=2)
 
 
 def test_run_experiment_validates_n_resamples():
