@@ -57,7 +57,7 @@ def check_aligned(labels, n_rows: int) -> None:
         raise ValueError("labels must align with the matrix rows")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LabeledDataset:
     """Immutable collection of labeled time series.
 
@@ -67,15 +67,16 @@ class LabeledDataset:
     Arrays that every grid cell derives from the same split (PAA values
     per omega, the distance kernel's padded rows and spectra) are
     memoised on the dataset by :meth:`shared`, so they live as long as
-    the split does. The memo takes no part in ``==``, ``hash`` or
-    ``repr``, and every dataset, including those made by
+    the split does. A dataset that carries a memo is an object, not a
+    value, so datasets compare and hash by identity. The memo takes no
+    part in ``repr``, and every dataset, including those made by
     ``znormalize_dataset`` and ``resample_split``, starts with an empty
     one.
     """
 
     series: tuple[np.ndarray, ...]
     labels: tuple[str, ...]
-    _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _memo: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "series", tuple(_as_series(s) for s in self.series))
@@ -145,11 +146,13 @@ def load_ucr(path) -> LabeledDataset:
             fields.pop()
         if "" in fields:
             raise UcrFormatError(f"{path}:{lineno}: empty field {fields.index('') + 1}")
-        try:
-            values = np.array([float(tok) for tok in fields[1:]])
-        except ValueError:
-            bad = next(tok for tok in fields[1:] if not _is_number(tok))
-            raise UcrFormatError(f"{path}:{lineno}: non-numeric token {bad!r}") from None
+        numbers = []
+        for tok in fields[1:]:
+            try:
+                numbers.append(float(tok))
+            except ValueError:
+                raise UcrFormatError(f"{path}:{lineno}: non-numeric token {tok!r}") from None
+        values = np.array(numbers)
         nan = np.isnan(values)
         end = values.size - int(np.argmin(nan[::-1])) if not nan.all() else 0
         if nan[:end].any():
@@ -171,14 +174,6 @@ def load_ucr(path) -> LabeledDataset:
         return LabeledDataset(tuple(series), tuple(labels))
     except ValueError as exc:
         raise UcrFormatError(f"{path}: {exc}") from None
-
-
-def _is_number(tok: str) -> bool:
-    try:
-        float(tok)
-    except ValueError:
-        return False
-    return True
 
 
 def znormalize(series) -> np.ndarray:

@@ -6,9 +6,9 @@ trailing remainder folded into the last window), then each value is
 binned by equal-probability N(0,1) breakpoints into one of alpha
 symbols rendered as lowercase letters.
 
-PAA has one implementation, batched over series; ``paa`` is its
-one-series case. ``discretize`` memoises a split's PAA values per omega
-on the dataset, so the alphabets of one omega share them.
+PAA has one implementation, one reshaped view per series; ``paa`` is
+its one-series case. ``discretize`` memoises a split's PAA values per
+omega on the dataset, so the alphabets of one omega share them.
 """
 
 from __future__ import annotations
@@ -81,7 +81,7 @@ def paa(series, omega: int) -> np.ndarray:
     The output has p = round(n / omega) values. The final window covers
     everything from (p-1)*omega to the end of the series, so it may be
     shorter or longer than omega; no observation is dropped. This is
-    the one-series case of the batched PAA behind :func:`discretize`.
+    the one-series case of the PAA behind :func:`discretize`.
     """
     return _paa_many([np.asarray(series, dtype=np.float64)], omega)[0]
 
@@ -89,10 +89,10 @@ def paa(series, omega: int) -> np.ndarray:
 def _paa_many(series_list, omega: int) -> tuple[np.ndarray, np.ndarray]:
     """PAA of every series, concatenated, with each series' value count.
 
-    Every window of exactly omega observations comes from one gather
-    into a (windows, omega) array and one row mean. A final window of
-    any other size is averaged per series with the same 1-D ``mean``
-    as before, so every value keeps its pairwise-sum bits.
+    A series' windows of exactly omega observations are averaged as one
+    reshaped (windows, omega) view, written straight into the output by
+    a row ``mean``. A final window of any other size takes its own 1-D
+    ``mean``, so every value keeps its pairwise-sum bits.
     """
     _check_omega(omega)
     lengths = np.array([x.size for x in series_list], dtype=np.int64)
@@ -102,20 +102,14 @@ def _paa_many(series_list, omega: int) -> tuple[np.ndarray, np.ndarray]:
             f"series length {lengths[too_short[0]]} is shorter than omega {omega}"
         )
     sizes = paa_length(lengths, omega)
-    tails = np.flatnonzero(sizes * omega != lengths)
-    full = sizes.copy()
-    full[tails] -= 1  # windows of exactly omega observations
-    out_starts = np.cumsum(sizes) - sizes
-    window_series = np.repeat(np.arange(lengths.size), full)
-    window_rank = np.arange(window_series.size) - np.repeat(np.cumsum(full) - full, full)
-    starts = (np.cumsum(lengths) - lengths)[window_series] + window_rank * omega
-    flat = np.concatenate(series_list)
     out = np.empty(int(sizes.sum()))
-    out[out_starts[window_series] + window_rank] = flat[
-        starts[:, None] + np.arange(omega)
-    ].mean(axis=1)
-    for i in tails:
-        out[out_starts[i] + full[i]] = series_list[i][full[i] * omega :].mean()
+    start = 0
+    for x, p in zip(series_list, sizes.tolist()):
+        full = p if p * omega == x.size else p - 1  # windows of exactly omega observations
+        x[: full * omega].reshape(full, omega).mean(axis=1, out=out[start : start + full])
+        if full < p:
+            out[start + full] = x[full * omega :].mean()
+        start += p
     return out, sizes
 
 

@@ -1,8 +1,21 @@
-"""Helpers shared by the test modules: UCR fixture files and hand-built samplers."""
+"""Helpers shared by the test modules: UCR fixture files, hand-built samplers
+and the environment for subprocesses."""
 
+import os
 from pathlib import Path
 
 from ps2c.sampler_trie import SamplerTrie
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def src_env():
+    """The caller's environment with ``PYTHONPATH`` naming this checkout's ``src``.
+
+    A subprocess run with it imports the ps2c under test, not an
+    installed one.
+    """
+    return dict(os.environ, PYTHONPATH=str(ROOT / "src"))
 
 
 def save_ucr(dataset, path, delimiter=","):

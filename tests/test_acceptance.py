@@ -23,7 +23,7 @@ from ps2c.pipeline import PipelineConfig, fit_transform, run_experiment
 from ps2c.quality import chi2_normalized_many, scale
 from ps2c.sampler_trie import fit_sampler
 from ps2c.synthgen import SynthSpec, generate
-from support import save_ucr
+from support import save_ucr, src_env
 
 LETTERS = string.ascii_lowercase
 
@@ -229,6 +229,7 @@ def _cli_run(args, out_dir):
     proc = subprocess.run(
         [sys.executable, "-m", "ps2c.cli", "run", *args, "--out", str(out_dir),
          "--emit-features"],
+        env=src_env(),
         capture_output=True,
         text=True,
     )

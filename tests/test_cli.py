@@ -13,9 +13,11 @@ import pytest
 from ps2c import cli
 from ps2c.cli import build_parser, main
 from ps2c.dataset import LabeledDataset
+from ps2c.forest import RandomForest
 from ps2c.pipeline import CellResult, fit_transform
+from ps2c.quality import chi2_table
 from ps2c.synthgen import SynthSpec, generate
-from support import save_ucr
+from support import save_ucr, src_env
 
 
 @pytest.fixture
@@ -174,20 +176,24 @@ def test_run_timings_separate_wall_and_cell_seconds(data_paths, capsys, tmp_path
     assert set(cell_seconds) == {"discretize", "index", "score", "transform"}
 
 
-def test_run_threads_1_and_2_byte_identical(data_paths, capsys, tmp_path):
-    train, test = data_paths
+def _assert_same_outputs_at_1_and_2_threads(capsys, tmp_path, paths):
+    """`run --resamples 2 --emit-features` writes the same five artifacts at 1 and 2 threads."""
     outputs = []
     for threads in ("1", "2"):
         out = tmp_path / f"t{threads}"
         code, _, _ = _run(
             capsys,
-            ["run", train, test, "--resamples", "2", "--threads", threads,
+            ["run", *paths, "--resamples", "2", "--threads", threads,
              "--out", str(out), "--emit-features"],
         )
         assert code == 0
         outputs.append({p.name: p.read_bytes() for p in out.iterdir() if p.name != "timings.json"})
     assert len(outputs[0]) == 5
     assert outputs[0] == outputs[1]
+
+
+def test_run_threads_1_and_2_byte_identical(data_paths, capsys, tmp_path):
+    _assert_same_outputs_at_1_and_2_threads(capsys, tmp_path, data_paths)
 
 
 def _mixed_length_paths(tmp_path):
@@ -205,18 +211,55 @@ def _mixed_length_paths(tmp_path):
 
 def test_run_threads_1_and_2_byte_identical_on_mixed_lengths(capsys, tmp_path):
     paths = _mixed_length_paths(tmp_path)
-    outputs = []
-    for threads in ("1", "2"):
-        out = tmp_path / f"t{threads}"
-        code, _, _ = _run(
-            capsys,
-            ["run", *paths, "--resamples", "2", "--threads", threads,
-             "--out", str(out), "--emit-features"],
-        )
-        assert code == 0
-        outputs.append({p.name: p.read_bytes() for p in out.iterdir() if p.name != "timings.json"})
-    assert len(outputs[0]) == 5
-    assert outputs[0] == outputs[1]
+    _assert_same_outputs_at_1_and_2_threads(capsys, tmp_path, paths)
+
+
+def _many_class_paths(tmp_path, n_classes, n_per_class):
+    """Train and test files: the two planted classes plus n_classes - 2 cosine motifs."""
+    paths = []
+    for name, seed in (("train", 0), ("test", 1)):
+        planted = generate(SynthSpec(n_per_class=n_per_class, length=48, seed=seed))
+        series, labels = list(planted.series), list(planted.labels)
+        rng = np.random.default_rng(seed + 10)
+        for j in range(n_classes - 2):
+            motif = 3.0 * np.cos(np.linspace(0.0, (j + 1) * np.pi, 16))
+            for _ in range(n_per_class):
+                x = rng.normal(0.0, 0.1, size=48)
+                start = int(rng.integers(0, 48 - 16 + 1))
+                x[start : start + 16] += motif
+                series.append(x)
+                labels.append(str(j + 3))
+        path = tmp_path / f"{name}.csv"
+        save_ucr(LabeledDataset(tuple(series), tuple(labels)), path)
+        paths.append(str(path))
+    return paths
+
+
+@pytest.mark.parametrize(
+    "n_classes, n_per_class, table_path", [(3, 6, True), (6, 4, False)], ids=["3-class", "6-class"]
+)
+def test_run_many_classes_end_to_end(
+    capsys, tmp_path, monkeypatch, n_classes, n_per_class, table_path
+):
+    # 3 classes of 6 have 7**3 count vectors, fewer than most cells have
+    # patterns, so those cells score by chi2_table; 6 classes of 4 have
+    # 5**6, more than any cell has, so every cell scores per length
+    paths = _many_class_paths(tmp_path, n_classes, n_per_class)
+    tables, predicted = [], []
+    monkeypatch.setattr(
+        "ps2c.sampler_trie.chi2_table", lambda sizes: tables.append(sizes) or chi2_table(sizes)
+    )
+    predict = RandomForest.predict
+
+    def spy_predict(self, X):
+        labels = predict(self, X)
+        predicted.append(set(labels))
+        return labels
+
+    monkeypatch.setattr(RandomForest, "predict", spy_predict)
+    _assert_same_outputs_at_1_and_2_threads(capsys, tmp_path, paths)
+    assert bool(tables) == table_path
+    assert len(predicted) == 4 and all(len(classes) >= 3 for classes in predicted)
 
 
 def test_run_warnings_are_the_same_at_any_thread_count(capsys, tmp_path):
@@ -239,7 +282,7 @@ def test_import_cli_loads_no_scipy():
         "import sys, ps2c.cli; "
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", code], env=src_env(), capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 
@@ -505,7 +548,9 @@ def test_module_entry_prints_one_error_line_and_no_traceback(data_paths, tmp_pat
     bad.write_text("1,2,x,4\n")
     named = {"DATA": data_paths[0], "BAD": str(bad), "MISSING": str(tmp_path / "missing.csv")}
     argv = [named.get(a, a) for a in argv]
-    proc = subprocess.run([sys.executable, "-m", "ps2c.cli", *argv], capture_output=True, text=True)
+    proc = subprocess.run(
+        [sys.executable, "-m", "ps2c.cli", *argv], env=src_env(), capture_output=True, text=True
+    )
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr

@@ -1,4 +1,3 @@
-import copy
 import dataclasses
 import sys
 import threading
@@ -113,6 +112,8 @@ def test_load_errors(tmp_path):
         load_ucr(_write(tmp_path, "1,5\n2,6\n", "b.txt"))
     with pytest.raises(UcrFormatError, match="non-numeric"):
         load_ucr(_write(tmp_path, "1,0,x,2\n2,3,4,5\n", "c.txt"))
+    with pytest.raises(UcrFormatError, match="non-numeric token 'x'"):
+        load_ucr(_write(tmp_path, "1,2,x,y\n2,3,4,5\n", "c2.txt"))
     with pytest.raises(UcrFormatError, match="non-finite"):
         load_ucr(_write(tmp_path, "1,0,nan,2\n2,3,4,5\n", "d.txt"))
     with pytest.raises(UcrFormatError, match="2 instances"):
@@ -275,17 +276,15 @@ def test_resample_pool_too_small():
 
 def test_memo_takes_no_part_in_eq_hash_or_repr():
     ds = LabeledDataset((np.arange(4.0), np.arange(3.0)), ("a", "b"))
-    twin = copy.copy(ds)
-    object.__setattr__(twin, "_memo", {})
+    twin = LabeledDataset((np.arange(4.0), np.arange(3.0)), ("a", "b"))  # equal, distinct arrays
     before = repr(ds)
     calls = []
     value = ds.shared("key", lambda: calls.append(1) or np.arange(3))
     assert ds.shared("key", lambda: calls.append(1) or np.arange(3)) is value
     assert calls == [1]
     assert repr(ds) == before and "_memo" not in before
-    assert ds == twin and twin._memo == {}
-    # eq and the generated hash read the compared fields only
-    assert [f.name for f in dataclasses.fields(ds) if f.compare] == ["series", "labels"]
+    assert ds == ds and ds != twin and twin._memo == {}
+    assert hash(ds) == hash(ds) and len({ds, twin}) == 2  # by identity, as objects
     assert [f.name for f in dataclasses.fields(ds) if f.init] == ["series", "labels"]
 
 

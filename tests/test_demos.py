@@ -1,13 +1,12 @@
 """Each script under demos/ runs to completion against the sources in src/."""
 
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-ROOT = Path(__file__).resolve().parents[1]
+from support import ROOT, src_env
+
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
@@ -17,8 +16,7 @@ def test_demos_exist():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
 def test_demo_runs(demo, tmp_path):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     result = subprocess.run(
-        [sys.executable, str(demo)], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, str(demo)], cwd=tmp_path, env=src_env(), capture_output=True, text=True, timeout=120
     )
     assert result.returncode == 0, result.stderr

@@ -131,6 +131,8 @@ def test_paa_matches_reference_bitwise_at_every_length(omega):
     for n in range(omega, 41):
         x = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3)
         assert paa(x, omega).tobytes() == _paa_reference(x, omega).tobytes()
+        y = np.repeat(x, 2)  # y[::2] is x as a strided view, which the reshape reads in place
+        assert paa(y[::2], omega).tobytes() == _paa_reference(y[::2].copy(), omega).tobytes()
 
 
 @given(
