@@ -11,13 +11,13 @@ best alignment divided by the shapelet length, so features stay
 comparable across resolutions with different shapelet lengths.
 
 One kernel computes every distance, for any mix of series lengths: the
-series are zero-padded to the longest, searched with FFT sliding dot
-products, offsets that would run past a series' end are masked, and the
-best alignment is re-evaluated exactly. A shapelet longer than a series
-falls back to the single head alignment inside the same call. The
-series side of the kernel (padded rows, prefix sums of squares, rfft
-spectra) is built once per split and memoised on its dataset, so every
-grid cell's call transforms only its own shapelets.
+series are zero-padded to the longest and searched with FFT sliding dot
+products, window energies are +inf past each series' end, and the best
+alignment is re-evaluated exactly with its near-ties. A shapelet longer
+than a series falls back to the single head alignment inside the same
+call. The series side of the kernel (padded rows, prefix sums of
+squares, rfft spectra) is built once per split and memoised on its
+dataset, so every grid cell's call transforms only its own shapelets.
 """
 
 from __future__ import annotations
@@ -35,8 +35,8 @@ from .sampler_trie import SamplerTrie
 __all__ = ["Shapelet", "FeatureMatrix", "create_feature_sets"]
 
 _EPS = np.finfo(np.float64).eps
-# Most offsets per row, besides the best FFT score, that the exact
-# recheck in _distance_matrix re-evaluates.
+# Most next-best FFT scores within round-off of the best per row that
+# the exact recheck in _distance_matrix re-evaluates.
 _NEAR_TIES = 8
 
 
@@ -96,13 +96,16 @@ class _PaddedRows(NamedTuple):
     """The series side of the distance kernel, shared by every shapelet.
 
     ``stacked`` holds the series zero-padded to n_max, ``csum`` the
-    prefix sums of their squares, ``spectra`` their rfft at the
-    power-of-two length ``fft_len`` >= n_max. All arrays are read-only.
+    prefix sums of their squares, ``reach`` the same set to +inf past
+    each row's end (so window energies that run into the padding are
+    +inf), ``spectra`` their rfft at the power-of-two length ``fft_len``
+    >= n_max. All arrays are read-only.
     """
 
     lengths: np.ndarray
     stacked: np.ndarray
     csum: np.ndarray
+    reach: np.ndarray
     spectra: np.ndarray
     fft_len: int
 
@@ -115,11 +118,12 @@ class _PaddedRows(NamedTuple):
             stacked[i, : x.size] = x
         csum = np.zeros((lengths.size, n_max + 1))
         np.cumsum(stacked * stacked, axis=1, out=csum[:, 1:])
+        reach = np.where(np.arange(n_max + 1) > lengths[:, None], np.inf, csum)
         fft_len = 1 << (n_max - 1).bit_length()
         spectra = np.fft.rfft(stacked, fft_len, axis=1)
-        for array in (lengths, stacked, csum, spectra):
+        for array in (lengths, stacked, csum, reach, spectra):
             array.flags.writeable = False
-        return cls(lengths, stacked, csum, spectra, fft_len)
+        return cls(lengths, stacked, csum, reach, spectra, fft_len)
 
 
 def _shared_rows(dataset: LabeledDataset) -> _PaddedRows:
@@ -139,31 +143,30 @@ def _distance_matrix(padded: _PaddedRows, shapelets) -> np.ndarray:
     length L >= n_max the circular correlation never wraps on the
     offsets 0..n_max-s, so one rfft of the padded rows serves every
     shapelet. In row i only the offsets 0..n_i-s are real alignments;
-    the rest run into the padding and are masked to +inf (equal-length
-    data needs no mask). A row shorter than the shapelet takes the
-    single alignment of the series against the shapelet's head.
+    the rest run into the padding, where ``reach`` makes their window
+    energy +inf. A row shorter than the shapelet takes the single
+    alignment of the series against the shapelet's head.
 
     The best FFT score of each row is re-evaluated with the direct
-    formula, together with at most ``_NEAR_TIES`` further offsets whose
-    FFT score lies within round-off of it, and the smallest direct value
-    is kept; exact self-matches then come out as 0. When more offsets
-    than that tie (a constant row ties on every offset), the result is
-    within round-off of the minimum.
+    formula, together with the next-best ``_NEAR_TIES`` FFT scores that
+    lie within round-off of it, and the smallest direct value is kept;
+    exact self-matches then come out as 0. When more offsets than that
+    tie (a constant row ties on every offset), the result is within
+    round-off of the minimum.
     """
-    lengths, stacked, csum, spectra, fft_len = padded
+    lengths, stacked, csum, reach, spectra, fft_len = padded
     n_max = stacked.shape[1]
-    ragged = int(lengths.min()) != n_max
     # Buffers shared by every shapelet: the loop below allocates no
     # N x fft_len array of its own.
     product = np.empty_like(spectra)
     correlation = np.empty((lengths.size, fft_len))
-    window_energy = np.empty((lengths.size, n_max))
     shapelet_values = [shapelet.values for shapelet in shapelets]
-    padded = np.zeros((len(shapelet_values), fft_len))
+    # twice each shapelet, so irfft gives 2 * dot (scaling by 2 is exact)
+    doubled = np.zeros((len(shapelet_values), fft_len))
     for j, values in enumerate(shapelet_values):
         if values.size <= n_max:
-            padded[j, : values.size] = values
-    kernels = np.conj(np.fft.rfft(padded, axis=1))
+            doubled[j, : values.size] = 2.0 * values
+    kernels = np.conj(np.fft.rfft(doubled, axis=1))
     out = np.empty((lengths.size, len(shapelets)), dtype=np.float64)
     for j, values in enumerate(shapelet_values):
         s = values.size
@@ -173,13 +176,9 @@ def _distance_matrix(padded: _PaddedRows, shapelets) -> np.ndarray:
             np.multiply(spectra, kernels[j], out=product)
             # scores = window energy - 2 * dot + shapelet energy, in place
             scores = np.fft.irfft(product, fft_len, axis=1, out=correlation)[:, :width]
-            scores *= 2.0
-            np.subtract(csum[:, s:], csum[:, :-s], out=window_energy[:, :width])
-            np.subtract(window_energy[:, :width], scores, out=scores)
+            np.subtract(reach[:, s:] - csum[:, :width], scores, out=scores)
             energy = float(values @ values)
             scores += energy
-            if ragged:
-                scores[np.arange(width) > (lengths - s)[:, None]] = np.inf
             # FFT and prefix-sum round-off stays below a few ulps of the
             # row's and the shapelet's energy per transform point, and can
             # reorder near-ties: the offsets within that bound of the best
@@ -189,17 +188,15 @@ def _distance_matrix(padded: _PaddedRows, shapelets) -> np.ndarray:
             cutoff[short] = -np.inf  # no alignment fits: head alignment below
             scores[rows, starts] = np.inf
             tied = np.flatnonzero(scores.min(axis=1) <= cutoff)
-            # Most calls have no near-tie, and this block's dozen small numpy
-            # calls per shapelet would add about a tenth to the kernel's time.
-            if tied.size:
-                near = scores[tied] <= cutoff[tied, None]
-                crowded = np.flatnonzero(np.count_nonzero(near, axis=1) > _NEAR_TIES)
-                nearest = np.argpartition(scores[tied[crowded]], _NEAR_TIES - 1, axis=1)
-                near[crowded] = False
-                near[crowded[:, None], nearest[:, :_NEAR_TIES]] = True
-                tie_rows, tie_starts = np.nonzero(near)
+            if tied.size:  # most calls have no near-tie
+                # capped at width so kth >= 0; the best's slot holds +inf and fails the cutoff
+                count = min(_NEAR_TIES, width)
+                tied_scores = scores[tied]
+                nearest = np.argpartition(tied_scores, count - 1, axis=1)[:, :count]
+                near = np.take_along_axis(tied_scores, nearest, axis=1) <= cutoff[tied, None]
+                tie_rows, tie_slots = np.nonzero(near)
                 rows = np.concatenate([rows, tied[tie_rows]])
-                starts = np.concatenate([starts, tie_starts])
+                starts = np.concatenate([starts, nearest[tie_rows, tie_slots]])
             windows = (rows * n_max + starts)[:, None] + np.arange(s)
             delta = np.take(stacked, windows) - values
             column = np.full(lengths.size, np.inf)

@@ -12,7 +12,6 @@ from ps2c.dataset import LabeledDataset, resample_split, znormalize_dataset
 from ps2c.discretizer import SaxParams, discretize
 from ps2c.pattern_index import PatternIndex
 from ps2c.pipeline import (
-    MergedFeatureSet,
     NoPatternsError,
     PipelineConfig,
     build_report,

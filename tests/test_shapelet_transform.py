@@ -1,15 +1,18 @@
 import csv
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ps2c.dataset import LabeledDataset
 from ps2c.discretizer import SaxParams, discretize, sax_text
 from ps2c.pattern_index import PatternIndex
 from ps2c.shapelet_transform import (
+    _EPS,
+    _NEAR_TIES,
     FeatureMatrix,
     Shapelet,
     _PaddedRows,
@@ -49,6 +52,66 @@ def _min_distance_oracle(series, values):
         window = series[off : off + s]
         best = min(best, float(np.mean((window - values) ** 2)))
     return best
+
+
+def _distance_matrix_reference(padded, shapelets):
+    # The kernel as it was before window energies went +inf past each
+    # row's end: a per-shapelet mask of the padded offsets, a separate
+    # doubling of the correlation, and near-ties tracked by masks. Only
+    # the unpacking of ``padded`` skips the field it did not read.
+    lengths, stacked, csum, _, spectra, fft_len = padded
+    n_max = stacked.shape[1]
+    ragged = int(lengths.min()) != n_max
+    product = np.empty_like(spectra)
+    correlation = np.empty((lengths.size, fft_len))
+    window_energy = np.empty((lengths.size, n_max))
+    shapelet_values = [shapelet.values for shapelet in shapelets]
+    padded = np.zeros((len(shapelet_values), fft_len))
+    for j, values in enumerate(shapelet_values):
+        if values.size <= n_max:
+            padded[j, : values.size] = values
+    kernels = np.conj(np.fft.rfft(padded, axis=1))
+    out = np.empty((lengths.size, len(shapelets)), dtype=np.float64)
+    for j, values in enumerate(shapelet_values):
+        s = values.size
+        short = lengths < s
+        if s <= n_max:
+            width = n_max - s + 1
+            np.multiply(spectra, kernels[j], out=product)
+            scores = np.fft.irfft(product, fft_len, axis=1, out=correlation)[:, :width]
+            scores *= 2.0
+            np.subtract(csum[:, s:], csum[:, :-s], out=window_energy[:, :width])
+            np.subtract(window_energy[:, :width], scores, out=scores)
+            energy = float(values @ values)
+            scores += energy
+            if ragged:
+                scores[np.arange(width) > (lengths - s)[:, None]] = np.inf
+            rows, starts = np.arange(lengths.size), scores.argmin(axis=1)
+            cutoff = scores[rows, starts] + 4 * fft_len * _EPS * (csum[:, -1] + energy)
+            cutoff[short] = -np.inf
+            scores[rows, starts] = np.inf
+            tied = np.flatnonzero(scores.min(axis=1) <= cutoff)
+            if tied.size:
+                near = scores[tied] <= cutoff[tied, None]
+                crowded = np.flatnonzero(np.count_nonzero(near, axis=1) > _NEAR_TIES)
+                nearest = np.argpartition(scores[tied[crowded]], _NEAR_TIES - 1, axis=1)
+                near[crowded] = False
+                near[crowded[:, None], nearest[:, :_NEAR_TIES]] = True
+                tie_rows, tie_starts = np.nonzero(near)
+                rows = np.concatenate([rows, tied[tie_rows]])
+                starts = np.concatenate([starts, tie_starts])
+            windows = (rows * n_max + starts)[:, None] + np.arange(s)
+            delta = np.take(stacked, windows) - values
+            column = np.full(lengths.size, np.inf)
+            np.minimum.at(column, rows, (delta * delta).sum(axis=1) / s)
+            out[:, j] = column
+        if short.any():
+            head = min(s, n_max)
+            delta = stacked[short, :head] - values[:head]
+            sq = delta * delta
+            sq[np.arange(head) >= lengths[short, None]] = 0.0
+            out[short, j] = sq.sum(axis=1) / lengths[short]
+    return out
 
 
 def _index_for(dataset, params, l_max):
@@ -176,6 +239,50 @@ def test_distance_matrix_matches_oracle_on_mixed_lengths(rows, data):
                 _min_distance_oracle(x, sh.values), abs=1e-9, rel=1e-9
             )
     assert out[i, -1] == 0.0
+
+
+_ROW_KINDS = ("zero", "periodic", "binary", "gauss")
+
+
+def _mixed_row(rng, kind, n):
+    """Rows whose offsets tie often (zero, short-period, 0/1) or rarely (Gaussian)."""
+    if kind == "zero":
+        return np.zeros(n)
+    if kind == "periodic":
+        return np.resize(rng.normal(size=rng.integers(1, 5)), n)
+    if kind == "binary":
+        return rng.integers(0, 2, size=n).astype(float)
+    return rng.normal(size=n)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rows=st.lists(
+        st.tuples(st.sampled_from(_ROW_KINDS), st.integers(3, 60)), min_size=1, max_size=8
+    ),
+    lengths=st.lists(st.integers(1, 62), max_size=4),
+)
+# the shortest row's length, one more (that row has no alignment), and
+# n_max, where a row of full length has one alignment and no near-tie
+@example(seed=0, rows=[("gauss", 12), ("zero", 7), ("periodic", 9)], lengths=[7])
+@example(seed=1, rows=[("gauss", 12), ("zero", 7), ("binary", 9)], lengths=[8])
+@example(seed=2, rows=[("periodic", 12), ("zero", 7), ("gauss", 12)], lengths=[12])
+@settings(max_examples=300, deadline=None)
+def test_distance_matrix_matches_reference_bitwise(seed, rows, lengths):
+    rng = np.random.default_rng(seed)
+    series = [_mixed_row(rng, kind, n) for kind, n in rows]
+    n_max = max(x.size for x in series)
+    # random shapelets up to 2 longer than the longest row, plus one cut from a row
+    values = [_mixed_row(rng, rng.choice(_ROW_KINDS), min(s, n_max + 2)) for s in lengths]
+    source = series[rng.integers(len(series))]
+    start = rng.integers(source.size)
+    values.append(source[start : rng.integers(start + 1, source.size + 1)])
+    shapelets = [_shapelet(v) for v in values]
+    padded = _PaddedRows.of(series)
+    with mock.patch.object(np, "argpartition", wraps=np.argpartition) as argpartition:
+        out = _distance_matrix(padded, shapelets)
+    assert all(call.args[1] >= 0 for call in argpartition.call_args_list)
+    assert np.array_equal(out, _distance_matrix_reference(padded, shapelets))
 
 
 def test_long_shapelet_takes_the_head_alignment_in_short_rows():
@@ -336,7 +443,9 @@ def test_shared_rows_match_the_per_call_path_bitwise():
         for name, ds in (("train", train), ("test", test)):
             padded = _shared_rows(ds)
             assert padded is _shared_rows(ds)
-            assert not any(a.flags.writeable for a in padded[:4])
+            arrays = {k: v for k, v in padded._asdict().items() if isinstance(v, np.ndarray)}
+            assert "reach" in arrays
+            assert [k for k, v in arrays.items() if v.flags.writeable] == []
             out = _distance_matrix(padded, shapelets)
             assert out.tobytes() == expected[name].tobytes()
     assert _shared_rows(train).stacked.shape == (4, 30)
