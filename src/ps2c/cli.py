@@ -4,9 +4,10 @@ The subcommands leave every check to the library; ``main`` is the one
 place that turns its errors into exit codes: 0 success, 1 for a usage,
 I/O, parse or setting error (one ``error:`` line on stderr), 2 when no
 grid cell has a pattern to sample (the message counts the skip reasons).
-Machine-readable JSON goes to stdout, human summaries and the
-package's logged warnings to stderr (``--quiet`` keeps only errors),
-file artifacts under --out, which is made at its first write.
+Each fact goes to one channel: results (``run``'s report, ``bench``'s
+rows) to stdout; artifacts (report.json, timings.json, feature CSVs) to
+--out, made at its first write; and to stderr only the package's logged
+warnings (dropped by ``--quiet``) and ``error:`` lines.
 """
 
 from __future__ import annotations
@@ -105,16 +106,6 @@ def cmd_run(args) -> int:
     timings = dict(result.timings, total_seconds=result.total_seconds)
     timings["cell_seconds"] = result.cell_seconds
     (out_dir / "timings.json").write_text(json.dumps(timings, indent=2, sort_keys=True) + "\n")
-
-    print(
-        f"accuracy {result.mean_accuracy:.4f} +/- {result.std_accuracy:.4f} "
-        f"over {args.resamples} resample(s)",
-        file=sys.stderr,
-    )
-    for phase, seconds in dict(result.timings, total=result.total_seconds).items():
-        print(f"  {phase}: {seconds:.3f}s wall", file=sys.stderr)
-    for phase, seconds in result.cell_seconds.items():
-        print(f"  {phase}: {seconds:.3f}s summed over cells", file=sys.stderr)
     return EXIT_OK
 
 
@@ -176,11 +167,6 @@ def cmd_bench(args) -> int:
                     "transform_seconds": cells["transform"],
                     "total_seconds": total,
                 }
-            )
-            print(
-                f"N={2 * per_class:6d} n={length:6d} fit={fit_seconds:8.3f}s "
-                f"transform={cells['transform']:8.3f}s total={total:8.3f}s",
-                file=sys.stderr,
             )
 
     sys.stdout.write(json.dumps({"rows": rows}, indent=2, sort_keys=True) + "\n")

@@ -167,7 +167,7 @@ def fit_transform(
 ) -> MergedFeatureSet:
     """Run every grid cell and concatenate the resulting feature blocks.
 
-    Cells whose window cannot fit the shortest training series, or
+    Cells with omega >= the shortest training series' length, or
     whose sampler accepts no pattern, are skipped and returned with
     their reasons for the caller to log (``CellResult.log_skip``);
     NoPatternsError counts the reasons when every cell is. After the

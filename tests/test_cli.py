@@ -40,16 +40,17 @@ def _run(capsys, argv):
 def test_run_single_resample(data_paths, capsys, tmp_path):
     train, test = data_paths
     out = tmp_path / "out"
-    code, stdout, _ = _run(
-        capsys,
-        ["run", train, test, "--seed", "7", "--resamples", "1", "--out", str(out)],
-    )
+    argv = ["run", train, test, "--seed", "7", "--resamples", "1", "--out", str(out)]
+    code, stdout, stderr = _run(capsys, argv)
     assert code == 0
     report = json.loads(stdout)
     assert len(report["accuracies"]) == 1
     assert report["config"]["seed"] == 7
     assert (out / "report.json").read_text() == stdout
     assert (out / "timings.json").exists()
+    # the report and timings.json are the only copies of accuracy and times
+    assert all(line.startswith("WARNING ") for line in stderr.splitlines())
+    assert _run(capsys, argv + ["--quiet"]) == (0, stdout, "")
 
 
 def test_run_small_grid_column_budget(data_paths, capsys, tmp_path):
@@ -121,13 +122,19 @@ def test_run_resample_with_one_training_class_exit_1(capsys, tmp_path):
     for name, labels in (("train.csv", ("A", "B")), ("test.csv", ("B",) * 5 + ("C",))):
         save_ucr(LabeledDataset(tuple(rng.normal(size=32) for _ in labels), labels), tmp_path / name)
         paths.append(str(tmp_path / name))
+    out = tmp_path / "out"
     code, stdout, stderr = _run(
         capsys, ["run", *paths, "--resamples", "3", "--alphas", "3", "--omegas", "2",
-                 "--out", str(tmp_path / "out")]
+                 "--out", str(out), "--emit-features"]
     )
     assert code == 1
     assert stdout == ""
     assert stderr.endswith("error: training split must contain at least two classes\n")
+    # resample 0 completed, so --out keeps its feature CSVs, but no
+    # report.json or timings.json: those are written after every resample
+    names = {path.name for path in out.iterdir()}
+    assert {"features_train_0.csv", "features_test_0.csv"} <= names
+    assert all(name.startswith("features_") for name in names)
 
 
 def test_run_emit_features(data_paths, capsys, tmp_path):
@@ -464,15 +471,19 @@ def test_trie_dump_golden_output(capsys, tmp_path, flags):
 
 
 def test_bench_two_sizes(capsys):
-    code, stdout, _ = _run(
-        capsys, ["bench", "--sizes", "40,80", "--lengths", "32", "--seed", "1"]
-    )
+    argv = ["bench", "--sizes", "40,80", "--lengths", "32", "--seed", "1"]
+    code, stdout, stderr = _run(capsys, argv)
     assert code == 0
     rows = json.loads(stdout)["rows"]
     assert len(rows) == 2
     assert [r["n_instances"] for r in rows] == [40, 80]
     for r in rows:
         assert r["fit_seconds"] >= 0 and r["transform_seconds"] >= 0
+    # the rows are reported on stdout only
+    assert all(line.startswith("WARNING ") for line in stderr.splitlines())
+    code, stdout, stderr = _run(capsys, argv + ["--quiet"])
+    assert code == 0 and len(json.loads(stdout)["rows"]) == 2
+    assert stderr == ""
 
 
 def test_bench_logs_skipped_cells(capsys, caplog, monkeypatch):
@@ -503,18 +514,17 @@ def test_warnings_print_once_per_call_and_quiet_prints_none(capsys, monkeypatch)
         code, _, stderr = _run(capsys, argv)
         assert code == 0
         assert package.handlers == handlers
-        lines = [line for line in stderr.splitlines() if "skipping cell" in line]
-        assert lines == [warning]
+        assert stderr == warning + "\n"
     code, _, stderr = _run(capsys, argv + ["--quiet"])
     assert code == 0
-    assert "skipping cell" not in stderr
+    assert stderr == ""
     code, _, stderr = _run(capsys, ["bench", "--sizes", "8", "--lengths", "4", "--quiet"])
     assert code == 1 and "length 4 is shorter than motif_length 16" in stderr  # errors still print
     assert package.handlers == handlers
     buf = io.StringIO()
     with contextlib.redirect_stderr(buf):  # the way perfbench/child.py calls main
         assert main(argv) == 0
-    assert warning in buf.getvalue().splitlines()
+    assert buf.getvalue() == warning + "\n"
     assert capsys.readouterr().err == ""
 
 

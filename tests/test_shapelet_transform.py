@@ -409,6 +409,24 @@ def test_feature_matrix_csv_roundtrip(tmp_path):
     assert float(rows[2][2]) == 0.0
 
 
+def test_feature_csv_rows_hold_label_and_exact_values(tmp_path):
+    train, test, d, index, trie = _fixture_cell()
+    ftr, _ = create_feature_sets(train, test, d, index, trie, 4, np.random.default_rng(0))
+    assert all(ftr.values[sh.source_index, j] == 0.0 for j, sh in enumerate(ftr.shapelets))
+    path = tmp_path / "features.csv"
+    ftr.to_csv(path, labels=train.labels)
+    text = path.read_text()
+    assert text.endswith("\n")
+    header, *lines = text[:-1].split("\n")
+    assert header.split(",") == ["label", *ftr.column_tags()]
+    assert len(lines) == ftr.values.shape[0]
+    for label, line, row in zip(train.labels, lines, ftr.values):
+        first, *fields = line.split(",")
+        assert first == label
+        # bit for bit, so a source row's 0.0 must come back as +0.0
+        assert np.array([float(f) for f in fields]).tobytes() == row.tobytes()
+
+
 def test_variable_length_series_supported():
     rng = np.random.default_rng(11)
     series = tuple(rng.normal(size=n) for n in (20, 28, 24, 20, 26, 22))
