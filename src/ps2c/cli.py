@@ -17,7 +17,6 @@ import json
 import logging
 import os
 import sys
-import time
 from pathlib import Path
 
 from .dataset import load_ucr, znormalize_dataset
@@ -150,24 +149,12 @@ def cmd_bench(args) -> int:
             per_class = size // 2
             train = generate(SynthSpec(n_per_class=per_class, length=length, seed=args.seed))
             test = generate(SynthSpec(n_per_class=per_class, length=length, seed=args.seed + 1))
-            t0 = time.perf_counter()
-            merged = fit_transform(train, test, config, n_threads=args.threads)
-            total = time.perf_counter() - t0
+            merged = fit_transform(train, test, config)
             for cell in merged.skipped:
                 cell.log_skip()
-            cells = merged.cell_seconds
-            fit_seconds = merged.timings["znormalize"] + sum(
-                cells[phase] for phase in ("discretize", "index", "score")
-            )
-            rows.append(
-                {
-                    "n_instances": 2 * per_class,
-                    "length": length,
-                    "fit_seconds": fit_seconds,
-                    "transform_seconds": cells["transform"],
-                    "total_seconds": total,
-                }
-            )
+            # the keys of run's timings.json, less train and total_seconds
+            rows.append(dict(merged.timings, cell_seconds=merged.cell_seconds,
+                             n_instances=2 * per_class, length=length))
 
     sys.stdout.write(json.dumps({"rows": rows}, indent=2, sort_keys=True) + "\n")
     return EXIT_OK
@@ -224,8 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--lengths", type=_int_list, default=[128], metavar="LIST",
                          help="series lengths per run, comma-separated")
     p_bench.add_argument("--seed", type=int, default=0, help="generator seed")
-    p_bench.add_argument("--threads", type=int, default=1,
-                         help="worker threads (timings are cleanest single-threaded)")
     return parser
 
 

@@ -1,8 +1,10 @@
-"""Helpers shared by the test modules: UCR fixture files, hand-built samplers
-and the environment for subprocesses."""
+"""Helpers shared by the test modules: UCR fixture files, hand-built samplers,
+planted motif offsets and the environment for subprocesses."""
 
 import os
 from pathlib import Path
+
+import numpy as np
 
 from ps2c.sampler_trie import SamplerTrie
 
@@ -37,3 +39,17 @@ def sampler_over(index, patterns, tau=1.0, s_min=0.0):
     stored = sorted((len(p), index.row_of(p), q) for p, q in pairs)
     lengths, rows, qs = zip(*stored) if stored else ((), (), ())
     return SamplerTrie(tau, s_min, index, lengths, rows, qs)
+
+
+def motif_offsets(spec):
+    """The motif start of each series of ``generate(spec)``, in its order.
+
+    Replays ``generate``'s draws from the same seed: per series, its
+    noise, then its motif offset.
+    """
+    rng = np.random.default_rng(spec.seed)
+    offsets = []
+    for _ in range(2 * spec.n_per_class):
+        rng.normal(size=spec.length)
+        offsets.append(int(rng.integers(0, spec.length - spec.motif_length + 1)))
+    return offsets

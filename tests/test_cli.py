@@ -478,7 +478,12 @@ def test_bench_two_sizes(capsys):
     assert len(rows) == 2
     assert [r["n_instances"] for r in rows] == [40, 80]
     for r in rows:
-        assert r["fit_seconds"] >= 0 and r["transform_seconds"] >= 0
+        # fit_transform's own record: the keys of run's timings.json, less
+        # train and total_seconds, as no forest is trained
+        assert set(r) == {"n_instances", "length", "znormalize", "grid", "cell_seconds"}
+        assert set(r["cell_seconds"]) == {"discretize", "index", "score", "transform"}
+        assert r["znormalize"] >= 0 and r["grid"] >= 0
+        assert all(seconds >= 0 for seconds in r["cell_seconds"].values())
     # the rows are reported on stdout only
     assert all(line.startswith("WARNING ") for line in stderr.splitlines())
     code, stdout, stderr = _run(capsys, argv + ["--quiet"])
@@ -534,13 +539,16 @@ def test_bench_length_below_motif_exit_1(capsys):
     assert "length 4 is shorter than motif_length 16" in stderr
 
 
-def test_bench_threads_below_one_exit_1(capsys):
-    code, stdout, stderr = _run(
-        capsys, ["bench", "--sizes", "8", "--lengths", "32", "--threads", "0"]
-    )
-    assert code == 1
-    assert stdout == ""
-    assert stderr == "error: n_threads must be >= 1, got 0\n"
+def test_bench_threads_is_a_usage_error(capsys):
+    # bench times fit_transform at its one-thread default; run's --threads
+    # cases above cover the n_threads bound
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--sizes", "8", "--lengths", "32", "--threads", "2"])
+    assert exc.value.code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage: ps2c ")
+    assert err.endswith("ps2c: error: unrecognized arguments: --threads 2\n")
 
 
 @pytest.mark.parametrize(

@@ -8,6 +8,7 @@ from ps2c.discretizer import SaxParams, discretize
 from ps2c.pattern_index import PatternIndex
 from ps2c.quality import chi2_normalized_many
 from ps2c.synthgen import SynthSpec, generate
+from support import motif_offsets
 
 
 def test_shapes_and_labels():
@@ -82,3 +83,18 @@ def test_planted_motif_recoverable_as_strong_pattern():
             if best >= 0.8:
                 break
         assert best >= 0.8, f"seed {seed}: best normalized chi2 {best}"
+
+
+def test_motif_offsets_replays_generate():
+    # without noise each series is its class's motif at its offset, zero elsewhere
+    spec = SynthSpec(n_per_class=5, length=40, noise_sigma=0.0, seed=7)
+    m = spec.motif_length
+    motifs = {"1": np.full(m, spec.amplitude),
+              "2": spec.amplitude * (np.abs(np.linspace(-1.0, 1.0, m)) - 1.0)}
+    data = generate(spec)
+    offsets = motif_offsets(spec)
+    assert len(offsets) == data.n_instances
+    for x, label, start in zip(data.series, data.labels, offsets):
+        expected = np.zeros(spec.length)
+        expected[start : start + m] = motifs[label]
+        assert np.array_equal(x, expected)
