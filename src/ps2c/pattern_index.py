@@ -8,18 +8,20 @@ queried.
 
 Each length's table comes from one in-place sort of that length's
 windows, renamed as by Karp, Miller & Rosenberg (1972): a length-l
-window's key is the dense lexicographic rank of its (l-1)-prefix times
-alpha plus its last symbol, so every alphabet and length takes the same
-path and sorted keys are in pattern order. In the flat symbol array
-every instance is followed by the separator symbol alpha, so a window
-is valid exactly when its last symbol is below alpha. Key and flat
-start are packed into one int64: starts are unique and in (instance,
-offset) order, so equal keys sort into dataset order and each run of
-equal keys starts at its first occurrence. The packing needs
-bit_length(n) + bit_length(n * alpha) <= 63 for n symbols, separators
-included: fewer than 2**29 symbols at alpha 26, 2**30 at alpha 4 to 8.
-``build`` raises ``ValueError`` beyond that; within it every offset,
-instance and pair count fits the tables' int32.
+window's key is its (l-1)-prefix's own sorted key times alpha plus its
+last symbol, so every alphabet and length takes the same path and sorted
+keys are in pattern order. The prefix keys are made dense again, as
+lexicographic ranks, only before a key would overflow the packed 63
+bits. In the flat symbol array every instance is followed by the
+separator symbol alpha, so a window is valid exactly when its last
+symbol is below alpha. Key and flat start are packed into one int64:
+starts are unique and in (instance, offset) order, so equal keys sort
+into dataset order and each run of equal keys starts at its first
+occurrence. The packing needs bit_length(n) + bit_length(n * alpha)
+<= 63 for n symbols, separators included: fewer than 2**29 symbols at
+alpha 26, 2**30 at alpha 4 to 8. ``build`` raises ``ValueError`` beyond
+that; within it every offset, instance and pair count fits the tables'
+int32.
 A pattern is named by its (length, row): its earliest occurrence is
 queried by that handle alone, and its text is sliced from it. Text is
 looked up only by ``row_of``, which binary-searches the sorted rows.
@@ -75,10 +77,11 @@ def check_l_max(l_max: int) -> None:
 def _key_shift(n_symbols: int, alpha: int) -> int:
     """Bits that hold a flat start below ``n_symbols`` in a packed key.
 
-    A window's key (prefix rank * alpha + next symbol) stays below
-    n_symbols * alpha (below alpha**2 when there are fewer symbols than
-    letters, far inside the limit), and it sits above the start in one
-    int64, so both widths together may take at most 63 bits.
+    A window's key (prefix key * alpha + next symbol) sits above the
+    start in one int64. ``build`` makes the prefix keys dense ranks again
+    before a key could pass 63 - shift bits, and over dense ranks a key
+    stays below n_symbols * alpha (below alpha**2 when there are fewer
+    symbols than letters): both widths together take at most 63 bits.
     """
     shift = n_symbols.bit_length()
     if shift + (n_symbols * alpha).bit_length() > 63:
@@ -119,51 +122,58 @@ class PatternIndex:
         alpha = discretized.params.alpha
         codes = discretized.codes
         # each instance is followed by the separator symbol alpha, so a
-        # window is valid exactly when its last symbol is below alpha
+        # window is valid exactly when its last symbol is below alpha (the
+        # empty head keeps a dataset with no instances concatenable)
         sizes = np.array([c.size for c in codes], dtype=np.int64) + 1
         starts = np.cumsum(sizes) - sizes
-        symbols = np.full(int(sizes.sum()), alpha, dtype=np.int64)
-        for start, c in zip(starts, codes):
-            symbols[start : start + c.size] = c
+        separator = np.array([alpha], dtype=np.uint8)
+        symbols = np.concatenate([separator[:0], *(s for c in codes for s in (c, separator))])
         shift = _key_shift(symbols.size, alpha)
         instance_of = np.repeat(np.arange(sizes.size, dtype=np.int32), sizes)
         offset_of = (np.arange(symbols.size) - np.repeat(starts, sizes)).astype(np.int32)
 
         # the windows of the previous length, sorted by pattern and then
-        # by flat start, which is (instance, offset) order: start and
-        # dense lexicographic rank (at length 1 the windows are in flat
-        # order and the rank is the symbol itself)
+        # by flat start, which is (instance, offset) order: start and a
+        # key below bound that orders the patterns (at length 1 the
+        # windows are in flat order and the key is the symbol itself)
         pos = np.flatnonzero(symbols < alpha)
-        rank = symbols[pos]
+        key, bound = symbols.take(pos).astype(np.int64), alpha
         tables: dict[int, _LengthTable] = {}
         for length in range(2, l_max + 1):
-            last = symbols[pos + (length - 1)]
+            last = symbols[length - 1 :].take(pos)
             # starts are unique and in (instance, offset) order, so the
             # packed (key, start) values sort equal keys into dataset order
-            packed = rank * alpha
-            packed += last
-            packed <<= shift
-            packed |= pos
-            packed = packed[last < alpha]
-            if packed.size == 0:
+            key *= alpha
+            key += last
+            key <<= shift
+            key |= pos
+            key = key[last < alpha]
+            if key.size == 0:
                 break
-            packed.sort()
-            pos = packed & ((1 << shift) - 1)
-            key = np.right_shift(packed, shift, out=packed)
-            inst = instance_of[pos]
+            key.sort()
+            pos = key & ((1 << shift) - 1)
+            key >>= shift
+            inst = instance_of.take(pos)
             new_pattern = np.empty(key.size, dtype=bool)
             new_pattern[0] = True
             np.not_equal(key[1:], key[:-1], out=new_pattern[1:])
             new_pair = new_pattern.copy()
             new_pair[1:] |= inst[1:] != inst[:-1]
-            rank = np.cumsum(new_pattern)
-            rank -= 1
 
-            pair_instance = inst[new_pair]
-            pair_starts = np.empty(rank[-1] + 2, dtype=np.int32)  # rows + 1
-            pair_starts[:-1] = np.flatnonzero(new_pattern[new_pair])
+            pair_at = np.flatnonzero(new_pair)
+            pair_instance = inst.take(pair_at)
+            row_pair = np.flatnonzero(new_pattern.take(pair_at))
+            pair_starts = np.empty(row_pair.size + 1, dtype=np.int32)  # rows + 1
+            pair_starts[:-1] = row_pair
             pair_starts[-1] = pair_instance.size
-            tables[length] = _LengthTable(offset_of[pos[new_pattern]], pair_instance, pair_starts)
+            first_offset = offset_of.take(pos.take(pair_at.take(row_pair)))
+            tables[length] = _LengthTable(first_offset, pair_instance, pair_starts)
+
+            # the sorted key already orders the patterns; it is made dense
+            # again only before the next key could pass the bits above starts
+            bound *= alpha
+            if bound * alpha > 1 << (63 - shift):
+                key, bound = np.cumsum(new_pattern, out=key) - 1, row_pair.size
         return cls(discretized, l_max, tables)
 
     # -- queries ---------------------------------------------------------

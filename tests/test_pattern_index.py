@@ -2,12 +2,12 @@ import string
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ps2c.discretizer import DiscretizedDataset, SaxParams
 from ps2c import pattern_index
-from ps2c.pattern_index import PatternIndex, _key_shift
+from ps2c.pattern_index import PatternIndex, _key_shift, _LengthTable
 
 LETTERS = string.ascii_lowercase
 
@@ -148,12 +148,16 @@ def test_distinct_substring_count_formula():
 @st.composite
 def _strings_over_alphabet(draw):
     # the separators and the packed key's width depend on alpha, the
-    # string count and the string lengths, empty and 1-symbol included
+    # string count and the string lengths, empty and 1-symbol included;
+    # runs of one symbol repeat long patterns within and across strings
     alpha = draw(st.integers(2, 26))
-    strings = draw(
-        st.lists(st.text(alphabet=LETTERS[:alpha], max_size=30), min_size=1, max_size=20)
+    letters = LETTERS[:alpha]
+    runs = st.lists(st.tuples(st.sampled_from(letters), st.integers(1, 15)), max_size=6)
+    text = st.one_of(
+        st.text(alphabet=letters, max_size=30),
+        runs.map(lambda rs: "".join(ch * n for ch, n in rs)),
     )
-    return strings, alpha
+    return draw(st.lists(text, min_size=1, max_size=20)), alpha
 
 
 @given(_strings_over_alphabet(), st.integers(2, 6))
@@ -175,6 +179,80 @@ def test_oracle_equivalence_alpha_26_l_max_20():
     _assert_matches_oracle(strings, 26, 20)
     index = PatternIndex.build(_dataset(strings, 26), 20)
     assert index.lengths() == list(range(2, 21))
+
+
+def _build_reference(discretized, l_max):
+    # The build loop as it was before the sorted keys were carried to the
+    # next length: a dense rank from a cumsum at every length, a Python
+    # loop that fills the symbols, and boolean masks that cut the rows.
+    alpha = discretized.params.alpha
+    codes = discretized.codes
+    sizes = np.array([c.size for c in codes], dtype=np.int64) + 1
+    starts = np.cumsum(sizes) - sizes
+    symbols = np.full(int(sizes.sum()), alpha, dtype=np.int64)
+    for start, c in zip(starts, codes):
+        symbols[start : start + c.size] = c
+    shift = _key_shift(symbols.size, alpha)
+    instance_of = np.repeat(np.arange(sizes.size, dtype=np.int32), sizes)
+    offset_of = (np.arange(symbols.size) - np.repeat(starts, sizes)).astype(np.int32)
+    pos = np.flatnonzero(symbols < alpha)
+    rank = symbols[pos]
+    tables = {}
+    for length in range(2, l_max + 1):
+        last = symbols[pos + (length - 1)]
+        packed = rank * alpha
+        packed += last
+        packed <<= shift
+        packed |= pos
+        packed = packed[last < alpha]
+        if packed.size == 0:
+            break
+        packed.sort()
+        pos = packed & ((1 << shift) - 1)
+        key = np.right_shift(packed, shift, out=packed)
+        inst = instance_of[pos]
+        new_pattern = np.empty(key.size, dtype=bool)
+        new_pattern[0] = True
+        np.not_equal(key[1:], key[:-1], out=new_pattern[1:])
+        new_pair = new_pattern.copy()
+        new_pair[1:] |= inst[1:] != inst[:-1]
+        rank = np.cumsum(new_pattern)
+        rank -= 1
+        pair_instance = inst[new_pair]
+        pair_starts = np.empty(rank[-1] + 2, dtype=np.int32)
+        pair_starts[:-1] = np.flatnonzero(new_pattern[new_pair])
+        pair_starts[-1] = pair_instance.size
+        tables[length] = _LengthTable(offset_of[pos[new_pattern]], pair_instance, pair_starts)
+    return tables
+
+
+# 20 strings of 60 random letters: 1,220 symbols with separators, so
+# starts take 11 bits and keys the 52 above them. After length 11 the
+# next keys could reach 26**12 = 2**56.4 > 2**52 (26**11 = 2**51.7 is
+# not over), so they are made dense: 1,000 ranks, one per window of
+# length 11 (all distinct but by a negligible chance). After length 19
+# they could reach 1,000 * 26**9 = 2**52.3 > 2**52, and are made dense
+# again.
+_TWO_RE_DENSIFIES = (
+    ["".join(np.random.default_rng(s).choice(list(LETTERS), size=60)) for s in range(20)],
+    26,
+)
+
+
+@given(_strings_over_alphabet(), st.integers(2, 20))
+@example(_TWO_RE_DENSIFIES, 20)
+@settings(max_examples=150, deadline=None)
+def test_build_matches_reference_bitwise(strings_alpha, l_max):
+    strings, alpha = strings_alpha
+    dataset = _dataset(strings, alpha)
+    tables = PatternIndex.build(dataset, l_max)._tables
+    reference = _build_reference(dataset, l_max)
+    assert tables.keys() == reference.keys()
+    for length, table in tables.items():
+        for name, expected in vars(reference[length]).items():
+            array = getattr(table, name)
+            assert array.dtype == np.int32
+            assert np.array_equal(array, expected)
 
 
 def test_tables_are_three_int32_arrays():
