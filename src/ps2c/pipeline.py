@@ -1,10 +1,12 @@
 """Grid orchestration: discretize, fit samplers, transform, classify.
 
-Runs the (alpha, omega) grid, with one sampler and one K-column feature
-block per cell, concatenates blocks in ascending (alpha, omega) order,
-then trains and scores the built-in forest. Every random draw is tied
-to (seed, alpha, omega) streams so thread count and completion order
-cannot change any output value.
+Runs the (alpha, omega) grid in two passes. The first fits one sampler
+per cell and grounds its K shapelets; the cell's pattern index and
+sampler are freed when it returns. The second computes one K-column
+feature block per cell that ran. Blocks are concatenated in ascending
+(alpha, omega) order, then the built-in forest is trained and scored.
+Every random draw is tied to (seed, alpha, omega) streams so thread
+count and completion order cannot change any output value.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import logging
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -23,7 +26,7 @@ from .forest import RandomForest
 from .pattern_index import PatternIndex, check_l_max
 from .quality import check_settings
 from .sampler_trie import fit_sampler
-from .shapelet_transform import FeatureMatrix, create_feature_sets
+from .shapelet_transform import FeatureMatrix, Shapelet, feature_blocks, ground_shapelets
 
 __all__ = [
     "PipelineConfig",
@@ -43,7 +46,9 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 # Seconds of these phases are summed over cells, so with several threads
-# they can exceed the grid's wall time.
+# they can exceed the grid's wall time. A cell's "transform" is its
+# sampling and grounding in the first pass plus its two kernel calls in
+# the second.
 CELL_PHASES = ("discretize", "index", "score", "transform")
 
 
@@ -85,13 +90,12 @@ class PipelineConfig:
 
 @dataclass(frozen=True)
 class CellResult:
-    """One grid cell: its phase seconds and feature blocks, or why it was skipped."""
+    """One grid cell: its phase seconds and shapelets, or why it was skipped."""
 
     alpha: int
     omega: int
-    seconds: dict[str, float]  # CELL_PHASES
-    train: FeatureMatrix | None = None
-    test: FeatureMatrix | None = None
+    seconds: dict[str, float]  # CELL_PHASES of the first pass
+    shapelets: tuple[Shapelet, ...] = ()
     reason: str = ""
 
     def log_skip(self) -> None:
@@ -113,7 +117,6 @@ def _run_cell(
     alpha: int,
     omega: int,
     ztrain: LabeledDataset,
-    ztest: LabeledDataset,
     config: PipelineConfig,
     master_seed: int,
 ) -> CellResult:
@@ -137,11 +140,9 @@ def _run_cell(
 
     # Stream keyed on (seed, alpha, omega): independent of scheduling order.
     rng = np.random.default_rng([master_seed, alpha, omega])
-    train_fm, test_fm = create_feature_sets(
-        ztrain, ztest, dtrain, index, trie, config.k, rng
-    )
+    shapelets = ground_shapelets(ztrain, dtrain, index, trie, config.k, rng)
     seconds["transform"] = time.perf_counter() - t3
-    return CellResult(alpha, omega, seconds, train_fm, test_fm)
+    return CellResult(alpha, omega, seconds, tuple(shapelets))
 
 
 def merge(matrices) -> FeatureMatrix:
@@ -166,6 +167,12 @@ def fit_transform(
     master_seed: int | None = None,
 ) -> MergedFeatureSet:
     """Run every grid cell and concatenate the resulting feature blocks.
+
+    The grid runs in two passes, on one thread pool when ``n_threads``
+    > 1. The first runs each cell up to its grounded shapelets, so a
+    cell's pattern index and sampler are freed before any distance is
+    computed. The second computes each cell's train and test blocks, one
+    task per cell, and the blocks are merged in grid order.
 
     Cells with omega >= the shortest training series' length, or
     whose sampler accepts no pattern, are skipped and returned with
@@ -192,23 +199,33 @@ def fit_transform(
     cells = [(alpha, omega) for alpha in config.alphas for omega in config.omegas]
 
     def run(cell):
-        return _run_cell(*cell, ztrain, ztest, config, master_seed)
+        return _run_cell(*cell, ztrain, config, master_seed)
 
-    if n_threads > 1:
-        # map cancels the cells not yet started once one raises
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            results = tuple(pool.map(run, cells))
-    else:
-        results = tuple(run(cell) for cell in cells)
+    def transform(cell):
+        t = time.perf_counter()
+        train_fm, test_fm = feature_blocks(ztrain, ztest, cell.shapelets)
+        return train_fm, test_fm, time.perf_counter() - t
+
+    # map cancels the tasks not yet started once one raises
+    with ThreadPoolExecutor(max_workers=n_threads) if n_threads > 1 else nullcontext() as pool:
+        map_ = pool.map if pool else map
+        results = tuple(map_(run, cells))
+        ran = [c for c in results if c.shapelets]  # ascending (alpha, omega)
+        skipped = tuple(c for c in results if not c.shapelets)
+        if not ran:
+            reasons = sorted(Counter(c.reason for c in skipped).items())
+            counted = "; ".join(f"{n} cell{'s' * (n != 1)}: {r}" for r, n in reasons)
+            raise NoPatternsError(f"no discriminative patterns found ({counted})")
+        transformed = tuple(map_(transform, ran))
 
     timings = {"znormalize": znorm_seconds, "grid": time.perf_counter() - t1}
     cell_seconds = {phase: sum(c.seconds[phase] for c in results) for phase in CELL_PHASES}
-    ran = [c for c in results if c.train is not None]  # ascending (alpha, omega)
-    skipped = tuple(c for c in results if c.train is None)
+    trains, tests, transform_seconds = zip(*transformed)
+    cell_seconds["transform"] += sum(transform_seconds)
     split_lengths = (np.array(ztrain.lengths), np.array(ztest.lengths))
     for cell in ran:
-        for lengths, block in zip(split_lengths, (cell.train, cell.test)):
-            for shapelet in block.shapelets:
+        for lengths in split_lengths:
+            for shapelet in cell.shapelets:
                 s = shapelet.values.size
                 short = int(np.count_nonzero(lengths < s))
                 if short:
@@ -220,13 +237,7 @@ def fit_transform(
                         lengths.size,
                     )
 
-    if not ran:
-        reasons = Counter(c.reason for c in skipped)
-        counted = "; ".join(f"{n} cell{'s' * (n != 1)}: {r}" for r, n in sorted(reasons.items()))
-        raise NoPatternsError(f"no discriminative patterns found ({counted})")
-    return MergedFeatureSet(
-        merge(c.train for c in ran), merge(c.test for c in ran), skipped, timings, cell_seconds
-    )
+    return MergedFeatureSet(merge(trains), merge(tests), skipped, timings, cell_seconds)
 
 
 def train_classifier(features, labels, seed=0) -> RandomForest:

@@ -1,14 +1,15 @@
 """Grounding of sampled patterns and min-distance feature matrices.
 
 The sampler draws k distinct patterns per cell by Gumbel-top-k over
-its flat log-weight store. ``create_feature_sets`` is the one grounding
+its flat log-weight store. ``ground_shapelets`` is the one grounding
 path: each drawn pattern is grounded through its (length, row) in the
 pattern index, in its earliest occurrence in the training data,
 yielding a real-valued shapelet, and no query goes by pattern text.
-Each instance is then described by its minimal sliding distance to
-every shapelet. The distance is the squared Euclidean distance of the
-best alignment divided by the shapelet length, so features stay
-comparable across resolutions with different shapelet lengths.
+``feature_blocks`` then describes each instance by its minimal sliding
+distance to every shapelet. The distance is the squared Euclidean
+distance of the best alignment divided by the shapelet length, so
+features stay comparable across resolutions with different shapelet
+lengths. ``create_feature_sets`` is the two steps for one cell.
 
 One kernel computes every distance, for any mix of series lengths: the
 series are zero-padded to the longest and searched with FFT sliding dot
@@ -17,7 +18,9 @@ alignment is re-evaluated exactly with its near-ties. A shapelet longer
 than a series falls back to the single head alignment inside the same
 call. The series side of the kernel (padded rows, prefix sums of
 squares, rfft spectra) is built once per split and memoised on its
-dataset, so every grid cell's call transforms only its own shapelets.
+dataset, so each call transforms only the shapelets it is given: one
+grid cell's, since the pipeline grounds every cell first and then
+transforms the cells one after another.
 """
 
 from __future__ import annotations
@@ -32,7 +35,13 @@ from .discretizer import DiscretizedDataset
 from .pattern_index import PatternIndex
 from .sampler_trie import SamplerTrie
 
-__all__ = ["Shapelet", "FeatureMatrix", "create_feature_sets"]
+__all__ = [
+    "Shapelet",
+    "FeatureMatrix",
+    "ground_shapelets",
+    "feature_blocks",
+    "create_feature_sets",
+]
 
 _EPS = np.finfo(np.float64).eps
 # Most next-best FFT scores within round-off of the best per row that
@@ -211,26 +220,25 @@ def _distance_matrix(padded: _PaddedRows, shapelets) -> np.ndarray:
     return out
 
 
-def create_feature_sets(
+def ground_shapelets(
     real_train: LabeledDataset,
-    real_test: LabeledDataset,
     discretized_train: DiscretizedDataset,
     index: PatternIndex,
     trie: SamplerTrie,
     k: int,
     rng: np.random.Generator,
-) -> tuple[FeatureMatrix, FeatureMatrix]:
-    """Sample patterns and build train/test min-distance matrices.
+) -> list[Shapelet]:
+    """Draw min(k, pattern count) distinct patterns and ground each one.
 
-    Draws min(k, pattern count) distinct patterns with one Gumbel-top-k
-    pass on ``rng`` and grounds each through its (length, row) in
-    ``index``, which must be the index the sampler was fitted on: the
-    shapelet is the pattern's earliest occurrence in dataset order,
-    values [offset*omega, (offset+length)*omega) of the source instance,
-    cut at the instance's end when the last symbol covered a short tail
-    segment. Column order is descending Gumbel key, which is the order
-    of drawing without replacement. Test labels are never read here: the
-    transform sees only series values.
+    One Gumbel-top-k pass on ``rng`` draws the patterns, and each is
+    grounded through its (length, row) in ``index``, which must be the
+    index the sampler was fitted on: the shapelet is the pattern's
+    earliest occurrence in dataset order, values
+    [offset*omega, (offset+length)*omega) of the source instance, cut at
+    the instance's end when the last symbol covered a short tail
+    segment. The order is descending Gumbel key, which is the order of
+    drawing without replacement. The shapelets hold no reference to
+    ``index`` or ``trie``.
     """
     if trie.index is not index:
         raise ValueError("the sampler was fitted on a different pattern index")
@@ -251,6 +259,37 @@ def create_feature_sets(
                 symbol_offset=offset,
             )
         )
+    return shapelets
+
+
+def feature_blocks(
+    real_train: LabeledDataset, real_test: LabeledDataset, shapelets
+) -> tuple[FeatureMatrix, FeatureMatrix]:
+    """Train and test min-distance matrices, one column per shapelet.
+
+    One kernel call per split, against the split's memoised padded rows.
+    Test labels are never read: the transform sees only series values.
+    """
+    shapelets = list(shapelets)
     train = FeatureMatrix(_distance_matrix(_shared_rows(real_train), shapelets), shapelets)
     test = FeatureMatrix(_distance_matrix(_shared_rows(real_test), shapelets), list(shapelets))
     return train, test
+
+
+def create_feature_sets(
+    real_train: LabeledDataset,
+    real_test: LabeledDataset,
+    discretized_train: DiscretizedDataset,
+    index: PatternIndex,
+    trie: SamplerTrie,
+    k: int,
+    rng: np.random.Generator,
+) -> tuple[FeatureMatrix, FeatureMatrix]:
+    """Sample patterns and build train/test min-distance matrices.
+
+    ``ground_shapelets`` followed by ``feature_blocks``: the columns are
+    the drawn shapelets in drawing order. ``fit_transform`` runs the two
+    steps in separate passes over the grid, with the same results.
+    """
+    shapelets = ground_shapelets(real_train, discretized_train, index, trie, k, rng)
+    return feature_blocks(real_train, real_test, shapelets)

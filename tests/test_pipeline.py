@@ -2,12 +2,13 @@ import itertools
 import re
 import threading
 import time
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ps2c import pipeline
+from ps2c import pipeline, shapelet_transform
 from ps2c.dataset import LabeledDataset, resample_split, znormalize_dataset
 from ps2c.discretizer import SaxParams, discretize
 from ps2c.pattern_index import PatternIndex
@@ -93,6 +94,66 @@ def test_single_cell_config_equals_direct_cell():
     ftr, fte = create_feature_sets(ztrain, ztest, d, index, trie, cfg.k, rng)
     assert np.array_equal(merged.train.values, ftr.values)
     assert np.array_equal(merged.test.values, fte.values)
+
+
+@pytest.mark.parametrize("n_threads", [1, 2])
+def test_no_pattern_index_is_alive_while_the_kernel_runs(monkeypatch, n_threads):
+    # the grid grounds every cell first, so each cell's index (and the
+    # sampler holding it) is freed before any distance is computed
+    built = weakref.WeakSet()
+    lock = threading.Lock()
+    build = PatternIndex.build
+    kernel = shapelet_transform._distance_matrix
+    alive_at_kernel = []
+
+    def recording_build(*args):
+        index = build(*args)
+        with lock:
+            built.add(index)
+        return index
+
+    def watched_kernel(*args):
+        with lock:
+            alive_at_kernel.append(len(built))
+        return kernel(*args)
+
+    monkeypatch.setattr(PatternIndex, "build", recording_build)
+    monkeypatch.setattr(shapelet_transform, "_distance_matrix", watched_kernel)
+    train, test = _planted(8, 48)
+    cfg = PipelineConfig(alphas=(2, 3), omegas=(2, 3))
+    merged = fit_transform(train, test, cfg, n_threads=n_threads)
+    assert merged.train.n_columns == 16
+    assert alive_at_kernel == [0] * 8  # two kernel calls per cell
+
+
+@pytest.mark.parametrize("n_threads", [1, 2])
+def test_fit_transform_merges_the_per_cell_feature_sets_in_grid_order(n_threads):
+    rng = np.random.default_rng(8)
+    train, test = (_cut_to_random_lengths(ds, rng, 24) for ds in _planted(6, 40))
+    cfg = PipelineConfig(alphas=(2, 3, 4), omegas=(2, 3, 30), seed=3)
+    merged = fit_transform(train, test, cfg, n_threads=n_threads)
+
+    ztrain, ztest = znormalize_dataset(train), znormalize_dataset(test)
+    train_blocks, test_blocks = [], []
+    for alpha in cfg.alphas:
+        for omega in cfg.omegas:
+            if omega >= ztrain.min_length:
+                continue
+            d = discretize(ztrain, SaxParams(alpha, omega))
+            index = PatternIndex.build(d, cfg.l_max)
+            trie = fit_sampler(d, index, ztrain.labels, cfg.l_max, cfg.s_min, cfg.tau)
+            if trie.is_empty:
+                continue
+            rng = np.random.default_rng([cfg.seed, alpha, omega])
+            ftr, fte = create_feature_sets(ztrain, ztest, d, index, trie, cfg.k, rng)
+            train_blocks.append(ftr)
+            test_blocks.append(fte)
+    expected_train, expected_test = merge(train_blocks), merge(test_blocks)
+    assert {(c.alpha, c.omega) for c in merged.skipped} == {(a, 30) for a in cfg.alphas}
+    assert merged.train.values.tobytes() == expected_train.values.tobytes()
+    assert merged.test.values.tobytes() == expected_test.values.tobytes()
+    assert merged.train.column_tags() == expected_train.column_tags()
+    assert merged.test.column_tags() == expected_test.column_tags()
 
 
 def test_fit_transform_deterministic():
