@@ -1,19 +1,19 @@
 #!/usr/bin/env python3
 """Scale check: wall time and peak RSS of `fit_transform`, each run in a fresh process.
 
-    python3 experiments/scale_check.py SRC [SRC ...] [--n-per-class 100]
+    python3 experiments/scale_check.py PARENT CHANGE [--n-per-class 100]
         [--length 1024] [--threads 1] [--pairs 8]
 
-Each SRC is a directory that holds the `ps2c` package, such as a
-checkout's `src/`. A round runs one fresh interpreter per SRC, and the
-rounds alternate which SRC goes first, so two trees given together make
-alternating pairs. Every run fits the default `PipelineConfig` on
-`generate(SynthSpec(n_per_class, length))` with the test split made
-from seed 1, at the given thread count, and reports the wall time of
-`fit_transform` alone and the process's peak RSS (`RUSAGE_SELF`, which
-also covers the import and the input generation). One line is printed
-per run, then a summary per SRC: median and quartiles of both, and for
-two SRCs the rounds each one was faster in. With `--json FILE` the runs are also written there.
+PARENT and CHANGE are directories that hold the `ps2c` package, such as
+two checkouts' `src/`. Each pair runs one fresh interpreter per tree,
+and the pairs alternate which tree goes first. Every run fits the
+default `PipelineConfig` on `generate(SynthSpec(n_per_class, length))`
+with the test split made from seed 1, at the given thread count, and
+reports the wall time of `fit_transform` alone and the process's peak
+RSS (`RUSAGE_SELF`, which also covers the import and the input
+generation). One line is printed per run, then a JSON summary: the
+median and quartiles of both per tree, and the pairs each tree was
+faster in.
 """
 
 from __future__ import annotations
@@ -61,36 +61,32 @@ def quartiles(values: list[float]) -> dict[str, float]:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("src", nargs="+", type=lambda p: Path(p).resolve())
+    parser.add_argument("parent", type=lambda p: Path(p).resolve())
+    parser.add_argument("change", type=lambda p: Path(p).resolve())
     parser.add_argument("--n-per-class", type=int, default=100)
     parser.add_argument("--length", type=int, default=1024)
     parser.add_argument("--threads", type=int, default=1)
-    parser.add_argument("--pairs", type=int, default=8, help="rounds of one run per SRC")
-    parser.add_argument("--json", type=Path, help="also write every run to this file")
+    parser.add_argument("--pairs", type=int, default=8)
     args = parser.parse_args(argv)
 
-    runs = {str(src): [] for src in args.src}
-    for round_ in range(args.pairs):
-        shift = round_ % len(args.src)
-        for src in args.src[shift:] + args.src[:shift]:
-            result = run_once(src, args)
-            runs[str(src)].append(result)
-            print(f"round {round_} {src}: {result['seconds']:.3f} s, peak RSS {result['peak_rss_mib']:.1f} MiB")
+    trees = {"parent": args.parent, "change": args.change}
+    runs = {"parent": [], "change": []}
+    for pair in range(args.pairs):
+        for side in ("parent", "change") if pair % 2 == 0 else ("change", "parent"):
+            result = run_once(trees[side], args)
+            runs[side].append(result)
+            print(f"pair {pair} {side}: {result['seconds']:.3f} s, peak RSS {result['peak_rss_mib']:.1f} MiB")
 
-    summary = {}
-    for src, results in runs.items():
-        summary[src] = {
+    summary = {
+        side: {
             "seconds": quartiles([r["seconds"] for r in results]),
             "peak_rss_mib": quartiles([r["peak_rss_mib"] for r in results]),
         }
-    if len(args.src) == 2:
-        a, b = (runs[str(src)] for src in args.src)
-        wins = sum(x["seconds"] < y["seconds"] for x, y in zip(a, b))
-        summary["faster_rounds"] = {str(args.src[0]): wins, str(args.src[1]): args.pairs - wins}
+        for side, results in runs.items()
+    }
+    wins = sum(c["seconds"] < p["seconds"] for p, c in zip(runs["parent"], runs["change"]))
+    summary["faster_pairs"] = {"parent": args.pairs - wins, "change": wins}
     print(json.dumps(summary, indent=2))
-    if args.json:
-        setting = {k: getattr(args, k) for k in ("n_per_class", "length", "threads", "pairs")}
-        args.json.write_text(json.dumps({"setting": setting, "runs": runs, "summary": summary}, indent=2) + "\n")
     return 0
 
 

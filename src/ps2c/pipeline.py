@@ -3,7 +3,8 @@
 Runs the (alpha, omega) grid in two passes. The first fits one sampler
 per cell and grounds its K shapelets; the cell's pattern index and
 sampler are freed when it returns. The second computes one K-column
-feature block per cell that ran. Blocks are concatenated in ascending
+feature block per cell that ran, split by split, so consecutive kernel
+calls share their work buffers. Blocks are concatenated in ascending
 (alpha, omega) order, then the built-in forest is trained and scored.
 Every random draw is tied to (seed, alpha, omega) streams so thread
 count and completion order cannot change any output value.
@@ -26,7 +27,7 @@ from .forest import RandomForest
 from .pattern_index import PatternIndex, check_l_max
 from .quality import check_settings
 from .sampler_trie import fit_sampler
-from .shapelet_transform import FeatureMatrix, Shapelet, feature_blocks, ground_shapelets
+from .shapelet_transform import FeatureMatrix, Shapelet, feature_columns, ground_shapelets
 
 __all__ = [
     "PipelineConfig",
@@ -46,9 +47,9 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 # Seconds of these phases are summed over cells, so with several threads
-# they can exceed the grid's wall time. A cell's "transform" is its
-# sampling and grounding in the first pass plus its two kernel calls in
-# the second.
+# they can exceed the grid's wall time. "transform" is each cell's
+# sampling and grounding in the first pass plus the second pass's kernel
+# calls, as each of its tasks times them.
 CELL_PHASES = ("discretize", "index", "score", "transform")
 
 
@@ -171,8 +172,10 @@ def fit_transform(
     The grid runs in two passes, on one thread pool when ``n_threads``
     > 1. The first runs each cell up to its grounded shapelets, so a
     cell's pattern index and sampler are freed before any distance is
-    computed. The second computes each cell's train and test blocks, one
-    task per cell, and the blocks are merged in grid order.
+    computed. The second computes the cells' train and test blocks in
+    at most ``n_threads`` runs of consecutive cells per split, one task
+    per run, whose kernel calls share one set of work buffers; the
+    blocks are merged in grid order.
 
     Cells with omega >= the shortest training series' length, or
     whose sampler accepts no pattern, are skipped and returned with
@@ -201,10 +204,11 @@ def fit_transform(
     def run(cell):
         return _run_cell(*cell, ztrain, config, master_seed)
 
-    def transform(cell):
+    def transform(task):
+        split, chunk = task
         t = time.perf_counter()
-        train_fm, test_fm = feature_blocks(ztrain, ztest, cell.shapelets)
-        return train_fm, test_fm, time.perf_counter() - t
+        blocks = list(feature_columns(split, (c.shapelets for c in chunk)))
+        return blocks, time.perf_counter() - t
 
     # map cancels the tasks not yet started once one raises
     with ThreadPoolExecutor(max_workers=n_threads) if n_threads > 1 else nullcontext() as pool:
@@ -216,12 +220,19 @@ def fit_transform(
             reasons = sorted(Counter(c.reason for c in skipped).items())
             counted = "; ".join(f"{n} cell{'s' * (n != 1)}: {r}" for r, n in reasons)
             raise NoPatternsError(f"no discriminative patterns found ({counted})")
-        transformed = tuple(map_(transform, ran))
+        # one task per split and run of consecutive cells, at most
+        # n_threads runs per split; a task's kernel calls share one set
+        # of work buffers
+        size = -(-len(ran) // n_threads)
+        chunks = [ran[i : i + size] for i in range(0, len(ran), size)]
+        tasks = [(split, chunk) for split in (ztrain, ztest) for chunk in chunks]
+        transformed = tuple(map_(transform, tasks))
 
     timings = {"znormalize": znorm_seconds, "grid": time.perf_counter() - t1}
     cell_seconds = {phase: sum(c.seconds[phase] for c in results) for phase in CELL_PHASES}
-    trains, tests, transform_seconds = zip(*transformed)
-    cell_seconds["transform"] += sum(transform_seconds)
+    cell_seconds["transform"] += sum(seconds for _, seconds in transformed)
+    blocks = [block for chunk_blocks, _ in transformed for block in chunk_blocks]
+    trains, tests = blocks[: len(ran)], blocks[len(ran) :]
     split_lengths = (np.array(ztrain.lengths), np.array(ztest.lengths))
     for cell in ran:
         for lengths in split_lengths:

@@ -5,10 +5,10 @@ its flat log-weight store. ``ground_shapelets`` is the one grounding
 path: each drawn pattern is grounded through its (length, row) in the
 pattern index, in its earliest occurrence in the training data,
 yielding a real-valued shapelet, and no query goes by pattern text.
-``feature_blocks`` then describes each instance by its minimal sliding
-distance to every shapelet. The distance is the squared Euclidean
-distance of the best alignment divided by the shapelet length, so
-features stay comparable across resolutions with different shapelet
+``feature_columns`` then describes each instance of a split by its
+minimal sliding distance to every shapelet. The distance is the squared
+Euclidean distance of the best alignment divided by the shapelet length,
+so features stay comparable across resolutions with different shapelet
 lengths. ``create_feature_sets`` is the two steps for one cell.
 
 One kernel computes every distance, for any mix of series lengths: the
@@ -19,12 +19,15 @@ than a series falls back to the single head alignment inside the same
 call. The series side of the kernel (padded rows, prefix sums of
 squares, rfft spectra) is built once per split and memoised on its
 dataset, so each call transforms only the shapelets it is given: one
-grid cell's, since the pipeline grounds every cell first and then
-transforms the cells one after another.
+grid cell's. The pipeline grounds every cell first and then runs the
+cells' calls one after another per split, and those calls share the
+kernel's two N x transform-length work buffers, so the buffers stay
+mapped between calls instead of being faulted in again by each one.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -39,7 +42,7 @@ __all__ = [
     "Shapelet",
     "FeatureMatrix",
     "ground_shapelets",
-    "feature_blocks",
+    "feature_columns",
     "create_feature_sets",
 ]
 
@@ -140,7 +143,12 @@ def _shared_rows(dataset: LabeledDataset) -> _PaddedRows:
     return dataset.shared("padded_rows", lambda: _PaddedRows.of(dataset.series))
 
 
-def _distance_matrix(padded: _PaddedRows, shapelets) -> np.ndarray:
+def _scratch(padded: _PaddedRows) -> tuple[np.ndarray, np.ndarray]:
+    """The kernel's work buffers for one split: spectrum products and correlations."""
+    return np.empty_like(padded.spectra), np.empty((padded.lengths.size, padded.fft_len))
+
+
+def _distance_matrix(padded: _PaddedRows, shapelets, scratch=None) -> np.ndarray:
     """N x k matrix of min-distances over series of any mix of lengths.
 
     Entry (i, j) is the minimum of mean((window - shapelet j)**2) over
@@ -162,13 +170,15 @@ def _distance_matrix(padded: _PaddedRows, shapelets) -> np.ndarray:
     exact self-matches then come out as 0. When more offsets than that
     tie (a constant row ties on every offset), the result is within
     round-off of the minimum.
+
+    ``scratch`` is ``_scratch(padded)``, passed in to reuse it across
+    calls on one split; a fresh one is made when it is None.
     """
     lengths, stacked, csum, reach, spectra, fft_len = padded
     n_max = stacked.shape[1]
     # Buffers shared by every shapelet: the loop below allocates no
     # N x fft_len array of its own.
-    product = np.empty_like(spectra)
-    correlation = np.empty((lengths.size, fft_len))
+    product, correlation = _scratch(padded) if scratch is None else scratch
     shapelet_values = [shapelet.values for shapelet in shapelets]
     # twice each shapelet, so irfft gives 2 * dot (scaling by 2 is exact)
     doubled = np.zeros((len(shapelet_values), fft_len))
@@ -262,18 +272,20 @@ def ground_shapelets(
     return shapelets
 
 
-def feature_blocks(
-    real_train: LabeledDataset, real_test: LabeledDataset, shapelets
-) -> tuple[FeatureMatrix, FeatureMatrix]:
-    """Train and test min-distance matrices, one column per shapelet.
+def feature_columns(
+    dataset: LabeledDataset, shapelet_sets: Iterable
+) -> Iterator[FeatureMatrix]:
+    """Yield one min-distance matrix per set of shapelets, over one split.
 
-    One kernel call per split, against the split's memoised padded rows.
-    Test labels are never read: the transform sees only series values.
+    Each set takes one kernel call against the split's memoised padded
+    rows, and the calls share one set of work buffers. Labels are never
+    read: the transform sees only series values.
     """
-    shapelets = list(shapelets)
-    train = FeatureMatrix(_distance_matrix(_shared_rows(real_train), shapelets), shapelets)
-    test = FeatureMatrix(_distance_matrix(_shared_rows(real_test), shapelets), list(shapelets))
-    return train, test
+    padded = _shared_rows(dataset)
+    scratch = _scratch(padded)
+    for shapelets in shapelet_sets:
+        shapelets = list(shapelets)
+        yield FeatureMatrix(_distance_matrix(padded, shapelets, scratch), shapelets)
 
 
 def create_feature_sets(
@@ -287,9 +299,12 @@ def create_feature_sets(
 ) -> tuple[FeatureMatrix, FeatureMatrix]:
     """Sample patterns and build train/test min-distance matrices.
 
-    ``ground_shapelets`` followed by ``feature_blocks``: the columns are
-    the drawn shapelets in drawing order. ``fit_transform`` runs the two
-    steps in separate passes over the grid, with the same results.
+    ``ground_shapelets`` followed by ``feature_columns`` on each split:
+    the columns are the drawn shapelets in drawing order. Test labels are
+    never read. ``fit_transform`` runs the two steps in separate passes
+    over the grid, with the same results.
     """
     shapelets = ground_shapelets(real_train, discretized_train, index, trie, k, rng)
-    return feature_blocks(real_train, real_test, shapelets)
+    (train,) = feature_columns(real_train, [shapelets])
+    (test,) = feature_columns(real_test, [shapelets])
+    return train, test

@@ -127,6 +127,26 @@ def test_no_pattern_index_is_alive_while_the_kernel_runs(monkeypatch, n_threads)
 
 
 @pytest.mark.parametrize("n_threads", [1, 2])
+def test_second_pass_makes_one_set_of_work_buffers_per_task(monkeypatch, n_threads):
+    # each task's kernel calls share their buffers, so a buffer is made
+    # once per split and run of cells, not once per kernel call (8 here)
+    made = []
+    scratch = shapelet_transform._scratch
+
+    def counting_scratch(padded):
+        made.append(padded.lengths.size)
+        return scratch(padded)
+
+    monkeypatch.setattr(shapelet_transform, "_scratch", counting_scratch)
+    train, test = _planted(8, 48)
+    test = LabeledDataset(test.series[:10], test.labels[:10])
+    cfg = PipelineConfig(alphas=(2, 3), omegas=(2, 3))
+    merged = fit_transform(train, test, cfg, n_threads=n_threads)
+    assert merged.train.n_columns == 16
+    assert sorted(made) == [10] * n_threads + [16] * n_threads
+
+
+@pytest.mark.parametrize("n_threads", [1, 2])
 def test_fit_transform_merges_the_per_cell_feature_sets_in_grid_order(n_threads):
     rng = np.random.default_rng(8)
     train, test = (_cut_to_random_lengths(ds, rng, 24) for ds in _planted(6, 40))

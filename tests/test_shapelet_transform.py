@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from ps2c.dataset import LabeledDataset
 from ps2c.discretizer import SaxParams, discretize, sax_text
+from ps2c import shapelet_transform
 from ps2c.pattern_index import PatternIndex
 from ps2c.shapelet_transform import (
     _EPS,
@@ -19,6 +20,7 @@ from ps2c.shapelet_transform import (
     _distance_matrix,
     _shared_rows,
     create_feature_sets,
+    feature_columns,
 )
 from support import sampler_over
 
@@ -468,3 +470,24 @@ def test_shared_rows_match_the_per_call_path_bitwise():
             assert out.tobytes() == expected[name].tobytes()
     assert _shared_rows(train).stacked.shape == (4, 30)
     assert _shared_rows(test).stacked.shape == (3, 45)
+
+
+def test_feature_columns_reuse_the_work_buffers_bitwise():
+    # one set of work buffers serves every set of one split: the values
+    # a longer shapelet left in them never reach a later set's columns
+    rng = np.random.default_rng(9)
+    ds = LabeledDataset(tuple(rng.normal(size=n) for n in (40, 26, 40, 9)), ("a", "b", "a", "b"))
+    sets = [
+        [_shapelet(rng.normal(size=s)) for s in (38, 21)],
+        [_shapelet(rng.normal(size=s)) for s in (3, 12, 5)],
+        [_shapelet(ds.series[1][2:9]), _shapelet(rng.normal(size=30))],
+    ]
+    made = []
+    scratch = shapelet_transform._scratch
+    with mock.patch.object(shapelet_transform, "_scratch", lambda p: made.append(p) or scratch(p)):
+        blocks = list(feature_columns(ds, sets))
+    assert len(made) == 1
+    for block, shapelets in zip(blocks, sets, strict=True):
+        assert block.shapelets == shapelets
+        expected = _distance_matrix(_PaddedRows.of(ds.series), shapelets)
+        assert block.values.tobytes() == expected.tobytes()
