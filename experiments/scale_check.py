@@ -68,6 +68,8 @@ def main(argv=None) -> int:
     parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--pairs", type=int, default=8)
     args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error(f"--pairs must be >= 1, got {args.pairs}")
 
     trees = {"parent": args.parent, "change": args.change}
     runs = {"parent": [], "change": []}

@@ -22,9 +22,10 @@ occurrence. The packing needs bit_length(n) + bit_length(n * alpha)
 alpha 26, 2**30 at alpha 4 to 8. ``build`` raises ``ValueError`` beyond
 that; within it every offset, instance and pair count fits the tables'
 int32.
-A pattern is named by its (length, row): its earliest occurrence is
-queried by that handle alone, and its text is sliced from it. Text is
-looked up only by ``row_of``, which binary-searches the sorted rows.
+The index keeps no reference to the symbols: ``first_occurrences``
+gives the earliest (instance, offset) of a batch of rows, from which
+the sampler slices each accepted pattern's text, and no query goes by
+text.
 Scoring reads each pattern's per-class presence counts from the CSR
 presence pairs, either as one mixed-radix code per pattern
 (``presence_codes``) or as a (patterns, classes) array
@@ -33,12 +34,11 @@ presence pairs, either as one mixed-radix code per pattern
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
 
-from .discretizer import DiscretizedDataset, sax_text
+from .discretizer import DiscretizedDataset
 
 __all__ = ["PatternIndex", "check_l_max"]
 
@@ -63,9 +63,6 @@ class _LengthTable:
     @property
     def n_patterns(self) -> int:
         return self.first_offset.size
-
-    def first_instance(self, row: int) -> int:
-        return int(self.pair_instance[self.pair_starts[row]])
 
 
 def check_l_max(l_max: int) -> None:
@@ -98,15 +95,9 @@ class PatternIndex:
     Immutable once built; safe for concurrent queries.
     """
 
-    def __init__(
-        self,
-        discretized: DiscretizedDataset,
-        l_max: int,
-        tables: dict[int, _LengthTable],
-    ):
-        self.n_instances = discretized.n_instances
+    def __init__(self, n_instances: int, l_max: int, tables: dict[int, _LengthTable]):
+        self.n_instances = n_instances
         self.l_max = l_max
-        self._codes = discretized.codes
         self._tables = tables
 
     @classmethod
@@ -174,7 +165,7 @@ class PatternIndex:
             bound *= alpha
             if bound * alpha > 1 << (63 - shift):
                 key, bound = np.cumsum(new_pattern, out=key) - 1, row_pair.size
-        return cls(discretized, l_max, tables)
+        return cls(discretized.n_instances, l_max, tables)
 
     # -- queries ---------------------------------------------------------
 
@@ -188,10 +179,10 @@ class PatternIndex:
         table = self._tables.get(length)
         return 0 if table is None else table.n_patterns
 
-    def occurrence(self, length: int, row: int) -> tuple[int, int]:
-        """Earliest (instance index, symbol offset) of the pattern in a row."""
+    def first_occurrences(self, length: int, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Earliest (instance index, symbol offset) of each of ``rows``, as two int32 arrays."""
         table = self._tables[length]
-        return table.first_instance(row), int(table.first_offset[row])
+        return table.pair_instance[table.pair_starts[rows]], table.first_offset[rows]
 
     def presence_counts(self, length: int, class_of: np.ndarray, n_classes: int) -> np.ndarray:
         """(n_patterns, n_classes) per-class presence counts for one length."""
@@ -213,21 +204,3 @@ class PatternIndex:
         table = self._tables[length]
         # every row owns at least one pair, so no reduceat segment is empty
         return np.add.reduceat(instance_weight[table.pair_instance], table.pair_starts[:-1])
-
-    def row_text(self, length: int, row: int) -> str:
-        """The pattern in a row, sliced from its first occurrence."""
-        table = self._tables[length]
-        offset = table.first_offset[row]
-        return sax_text(self._codes[table.first_instance(row)][offset : offset + length])
-
-    def row_of(self, pattern: str) -> int | None:
-        """The pattern's row in its length's table, or None if it occurs nowhere."""
-        length = len(pattern)
-        table = self._tables.get(length)
-        if table is None:
-            return None
-        rows = range(table.n_patterns)
-        row = bisect_left(rows, pattern, key=lambda r: self.row_text(length, r))
-        if row < table.n_patterns and self.row_text(length, row) == pattern:
-            return row
-        return None

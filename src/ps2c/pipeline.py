@@ -141,7 +141,7 @@ def _run_cell(
 
     # Stream keyed on (seed, alpha, omega): independent of scheduling order.
     rng = np.random.default_rng([master_seed, alpha, omega])
-    shapelets = ground_shapelets(ztrain, dtrain, index, trie, config.k, rng)
+    shapelets = ground_shapelets(ztrain, trie, config.k, rng)
     seconds["transform"] = time.perf_counter() - t3
     return CellResult(alpha, omega, seconds, tuple(shapelets))
 

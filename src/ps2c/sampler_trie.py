@@ -1,12 +1,14 @@
 """Pattern sampler: a flat log-weight store drawn by Gumbel-top-k.
 
-Accepted patterns are parallel arrays (length, pattern-table row,
-quality q, log-weight log(q)/tau) over one fitted ``PatternIndex``, and
-(length, row) is a pattern's only handle: text is sliced only for drawn
-patterns. Pattern i is drawn with probability w_i / sum(w), where
-w = q**(1/tau). Adding Gumbel noise to every log-weight and keeping the
-k largest keys draws k distinct patterns with exactly the law of
-drawing one at a time and redrawing duplicates; log-weights never
+Accepted patterns are parallel arrays: length, first instance and first
+offset (the pattern's earliest occurrence in dataset order), quality q
+and log-weight log(q)/tau. The sampler keeps the discretized split it
+was fitted on, whose codes give each pattern's text when it is asked
+for and whose SAX parameters name the cell; it keeps no reference to
+the pattern index. Pattern i is drawn with probability w_i / sum(w),
+where w = q**(1/tau). Adding Gumbel noise to every log-weight and
+keeping the k largest keys draws k distinct patterns with exactly the
+law of drawing one at a time and redrawing duplicates; log-weights never
 underflow, unlike w in float64.
 
 The paper's weighted trie is computed from the store, not built: the
@@ -24,6 +26,7 @@ import math
 import numpy as np
 
 from .dataset import class_codes
+from .discretizer import sax_text
 from .pattern_index import PatternIndex
 from .quality import check_settings, chi2_normalized_many, chi2_table, scale
 
@@ -33,17 +36,19 @@ __all__ = ["SamplerTrie", "fit_sampler"]
 class SamplerTrie:
     """The fitted pattern sampler for one (alpha, omega) cell.
 
-    Pattern i has quality ``q[i]`` and is row ``rows[i]`` of the
-    length-``lengths[i]`` table of ``index``.
+    Pattern i has quality ``q[i]`` and is the length-``lengths[i]``
+    substring of instance ``instances[i]`` of ``discretized`` at symbol
+    offset ``offsets[i]``, its earliest occurrence.
     """
 
-    def __init__(self, tau: float, s_min: float, index: PatternIndex, lengths, rows, q):
+    def __init__(self, tau: float, s_min: float, discretized, lengths, instances, offsets, q):
         check_settings(tau, s_min)
         self.tau = tau
         self.s_min = s_min
-        self.index = index
+        self.discretized = discretized
         self.lengths = np.asarray(lengths, dtype=np.int64)
-        self.rows = np.asarray(rows, dtype=np.int64)
+        self.instances = np.asarray(instances, dtype=np.int32)
+        self.offsets = np.asarray(offsets, dtype=np.int32)
         self.q = np.asarray(q, dtype=np.float64)
         self.log_w = np.log(self.q) / tau
 
@@ -56,7 +61,9 @@ class SamplerTrie:
         return self.pattern_count == 0
 
     def text(self, i: int) -> str:
-        return self.index.row_text(int(self.lengths[i]), int(self.rows[i]))
+        offset = int(self.offsets[i])
+        codes = self.discretized.codes[self.instances[i]]
+        return sax_text(codes[offset : offset + int(self.lengths[i])])
 
     def sample_positions(self, k: int, rng: np.random.Generator) -> np.ndarray:
         """Store positions of min(k, pattern_count) distinct patterns, by Gumbel-top-k.
@@ -99,13 +106,13 @@ class SamplerTrie:
 
     def path_probability(self, pattern: str) -> float:
         """Probability that :meth:`sample` returns ``pattern``."""
-        row = self.index.row_of(pattern)
-        stored = (self.lengths == len(pattern)) & (self.rows == row)
-        if row is None or not stored.any():
+        same_length = np.flatnonzero(self.lengths == len(pattern))
+        stored = [i for i in same_length if self.text(i) == pattern]
+        if not stored:
             raise KeyError(f"pattern {pattern!r} is not in the trie")
         top = self.log_w.max()
         log_total = top + np.log(np.exp(self.log_w - top).sum())
-        return float(np.exp(self.log_w[stored][0] - log_total))
+        return float(np.exp(self.log_w[stored[0]] - log_total))
 
     def iter_patterns(self):
         """Yield (pattern, scaled weight q**(1/tau)) pairs in lexicographic order."""
@@ -141,7 +148,11 @@ def fit_sampler(
 
     For each length 2..l_max, every distinct pattern is scored by
     normalised chi-square; patterns reaching s_min (and strictly above
-    0) are kept, the rest discarded. The returned sampler may be empty,
+    0) are kept, the rest discarded. Each kept pattern is stored as its
+    length, the (instance, offset) of its earliest occurrence, q and
+    log-weight, in (length, text) order. The sampler keeps
+    ``discretized``, the split ``index`` was built on, to slice texts
+    and name its cell, and no reference to ``index``. It may be empty,
     in which case the caller skips this (alpha, omega) cell.
 
     A score depends only on the pattern's per-class presence counts, so
@@ -166,15 +177,19 @@ def fit_sampler(
         strides, table = chi2_table(sizes)
         instance_stride = strides[class_of]
 
-    lengths, rows, qs = [np.empty(0, np.int64)], [np.empty(0, np.int64)], [np.empty(0)]
+    lengths, qs = [np.empty(0, np.int64)], [np.empty(0)]
+    instances, offsets = [np.empty(0, np.int32)], [np.empty(0, np.int32)]
     for length in index.lengths():
         if table is None:
             counts = index.presence_counts(length, class_of, len(classes))
             q = chi2_normalized_many(counts, class_sizes)
         else:
             q = table[index.presence_codes(length, instance_stride)]
-        accepted = np.nonzero((q >= s_min) & (q > 0.0))[0]
+        accepted = np.flatnonzero((q >= s_min) & (q > 0.0))
+        first_instance, first_offset = index.first_occurrences(length, accepted)
         lengths.append(np.full(accepted.size, length, dtype=np.int64))
-        rows.append(accepted)
+        instances.append(first_instance)
+        offsets.append(first_offset)
         qs.append(q[accepted])
-    return SamplerTrie(tau, s_min, index, *map(np.concatenate, (lengths, rows, qs)))
+    columns = map(np.concatenate, (lengths, instances, offsets, qs))
+    return SamplerTrie(tau, s_min, discretized, *columns)

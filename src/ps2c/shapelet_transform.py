@@ -2,9 +2,10 @@
 
 The sampler draws k distinct patterns per cell by Gumbel-top-k over
 its flat log-weight store. ``ground_shapelets`` is the one grounding
-path: each drawn pattern is grounded through its (length, row) in the
-pattern index, in its earliest occurrence in the training data,
-yielding a real-valued shapelet, and no query goes by pattern text.
+path: each drawn pattern is grounded at the (length, first instance,
+first offset) the sampler stores for it, its earliest occurrence in the
+training data, yielding a real-valued shapelet; no pattern index is
+consulted and no occurrence is looked up by text.
 ``feature_columns`` then describes each instance of a split by its
 minimal sliding distance to every shapelet. The distance is the squared
 Euclidean distance of the best alignment divided by the shapelet length,
@@ -34,8 +35,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .dataset import LabeledDataset, check_aligned
-from .discretizer import DiscretizedDataset
-from .pattern_index import PatternIndex
 from .sampler_trie import SamplerTrie
 
 __all__ = [
@@ -231,32 +230,25 @@ def _distance_matrix(padded: _PaddedRows, shapelets, scratch=None) -> np.ndarray
 
 
 def ground_shapelets(
-    real_train: LabeledDataset,
-    discretized_train: DiscretizedDataset,
-    index: PatternIndex,
-    trie: SamplerTrie,
-    k: int,
-    rng: np.random.Generator,
+    real_train: LabeledDataset, trie: SamplerTrie, k: int, rng: np.random.Generator
 ) -> list[Shapelet]:
     """Draw min(k, pattern count) distinct patterns and ground each one.
 
     One Gumbel-top-k pass on ``rng`` draws the patterns, and each is
-    grounded through its (length, row) in ``index``, which must be the
-    index the sampler was fitted on: the shapelet is the pattern's
-    earliest occurrence in dataset order, values
-    [offset*omega, (offset+length)*omega) of the source instance, cut at
-    the instance's end when the last symbol covered a short tail
-    segment. The order is descending Gumbel key, which is the order of
-    drawing without replacement. The shapelets hold no reference to
-    ``index`` or ``trie``.
+    grounded at the first instance and first offset the sampler stores
+    for it: the shapelet is the pattern's earliest occurrence in dataset
+    order, values [offset*omega, (offset+length)*omega) of that instance
+    of ``real_train``, cut at the instance's end when the last symbol
+    covered a short tail segment. Alpha, omega and the pattern text come
+    from the sampler's discretized split. The order is descending Gumbel
+    key, which is the order of drawing without replacement. The
+    shapelets hold no reference to ``trie``.
     """
-    if trie.index is not index:
-        raise ValueError("the sampler was fitted on a different pattern index")
-    alpha, omega = discretized_train.params.alpha, discretized_train.params.omega
+    alpha, omega = trie.discretized.params.alpha, trie.discretized.params.omega
     shapelets = []
     for i in trie.sample_positions(k, rng):
-        length, row = int(trie.lengths[i]), int(trie.rows[i])
-        instance, offset = index.occurrence(length, row)
+        length = int(trie.lengths[i])
+        instance, offset = int(trie.instances[i]), int(trie.offsets[i])
         series = real_train.series[instance]
         stop = min((offset + length) * omega, series.size)
         shapelets.append(
@@ -264,7 +256,7 @@ def ground_shapelets(
                 series[offset * omega : stop].copy(),
                 alpha=alpha,
                 omega=omega,
-                pattern=index.row_text(length, row),
+                pattern=trie.text(i),
                 source_index=instance,
                 symbol_offset=offset,
             )
@@ -291,8 +283,8 @@ def feature_columns(
 def create_feature_sets(
     real_train: LabeledDataset,
     real_test: LabeledDataset,
-    discretized_train: DiscretizedDataset,
-    index: PatternIndex,
+    discretized_train,
+    index,
     trie: SamplerTrie,
     k: int,
     rng: np.random.Generator,
@@ -301,10 +293,13 @@ def create_feature_sets(
 
     ``ground_shapelets`` followed by ``feature_columns`` on each split:
     the columns are the drawn shapelets in drawing order. Test labels are
-    never read. ``fit_transform`` runs the two steps in separate passes
-    over the grid, with the same results.
+    never read. ``discretized_train`` and ``index`` are not read either,
+    since the sampler carries its occurrences and its discretized split;
+    they stay for callers that pass every argument by position.
+    ``fit_transform`` runs the two steps in separate passes over the
+    grid, with the same results.
     """
-    shapelets = ground_shapelets(real_train, discretized_train, index, trie, k, rng)
+    shapelets = ground_shapelets(real_train, trie, k, rng)
     (train,) = feature_columns(real_train, [shapelets])
     (test,) = feature_columns(real_test, [shapelets])
     return train, test

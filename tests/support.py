@@ -1,11 +1,13 @@
-"""Helpers shared by the test modules: UCR fixture files, hand-built samplers,
-planted motif offsets and the environment for subprocesses."""
+"""Helpers shared by the test modules: UCR fixture files, a substring oracle,
+hand-built samplers, planted motif offsets and the environment for
+subprocesses."""
 
 import os
 from pathlib import Path
 
 import numpy as np
 
+from ps2c.discretizer import sax_text
 from ps2c.sampler_trie import SamplerTrie
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -29,16 +31,38 @@ def save_ucr(dataset, path, delimiter=","):
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def sampler_over(index, patterns, tau=1.0, s_min=0.0):
-    """A sampler storing hand-given (pattern, q) pairs of ``index``.
+def naive_scan(strings, l_max):
+    """Oracle: exhaustive substring enumeration, O(N*m^2).
 
-    Each pattern is resolved to its row by ``index.row_of`` and stored
-    in (length, row) order, the order ``fit_sampler`` stores in.
+    Maps each substring of length 2..l_max to the set of strings that
+    hold it and to its earliest (string, offset).
     """
+    out = {}
+    for i, s in enumerate(strings):
+        for l in range(2, l_max + 1):
+            for off in range(len(s) - l + 1):
+                pat = s[off : off + l]
+                entry = out.setdefault(pat, {"instances": set(), "first": (i, off)})
+                entry["instances"].add(i)
+                entry["first"] = min(entry["first"], (i, off))
+    return out
+
+
+def sampler_over(discretized, patterns, tau=1.0, s_min=0.0):
+    """A sampler storing hand-given (pattern, q) pairs over ``discretized``.
+
+    Each pattern's earliest (instance, offset) is found by substring
+    search in the split's texts, and the patterns are stored in
+    (length, text) order, the order ``fit_sampler`` stores in.
+    """
+    texts = [sax_text(codes) for codes in discretized.codes]
     pairs = patterns.items() if hasattr(patterns, "items") else patterns
-    stored = sorted((len(p), index.row_of(p), q) for p, q in pairs)
-    lengths, rows, qs = zip(*stored) if stored else ((), (), ())
-    return SamplerTrie(tau, s_min, index, lengths, rows, qs)
+    stored = []
+    for pattern, q in sorted(pairs, key=lambda pair: (len(pair[0]), pair[0])):
+        instance = next(i for i, text in enumerate(texts) if pattern in text)
+        stored.append((len(pattern), instance, texts[instance].index(pattern), q))
+    columns = zip(*stored) if stored else ((),) * 4
+    return SamplerTrie(tau, s_min, discretized, *columns)
 
 
 def motif_offsets(spec):

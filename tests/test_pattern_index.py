@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from ps2c.discretizer import DiscretizedDataset, SaxParams
 from ps2c import pattern_index
 from ps2c.pattern_index import PatternIndex, _key_shift, _LengthTable
+from support import naive_scan
 
 LETTERS = string.ascii_lowercase
 
@@ -19,22 +20,26 @@ def _dataset(strings, alpha):
     return DiscretizedDataset(SaxParams(alpha, 1), codes)
 
 
-def naive_scan(strings, l_max):
-    """Oracle: exhaustive substring enumeration, O(N*m^2)."""
-    out = {}
-    for i, s in enumerate(strings):
-        for l in range(2, l_max + 1):
-            for off in range(len(s) - l + 1):
-                pat = s[off : off + l]
-                entry = out.setdefault(pat, {"instances": set(), "first": (i, off)})
-                entry["instances"].add(i)
-                entry["first"] = min(entry["first"], (i, off))
-    return out
+def _texts(index, strings, length):
+    """The text of every row of one length, sliced from the test's own
+    strings at the row's first occurrence."""
+    rows = np.arange(index.pattern_count(length))
+    if rows.size == 0:
+        return []
+    instances, offsets = index.first_occurrences(length, rows)
+    return [strings[i][o : o + length] for i, o in zip(instances, offsets)]
 
 
-def _patterns(index, length):
+def _patterns(index, strings, length):
     """The distinct patterns of one length, as the text of every row."""
-    return {index.row_text(length, r) for r in range(index.pattern_count(length))}
+    return set(_texts(index, strings, length))
+
+
+def _first(index, strings, pattern):
+    """The earliest (instance, offset) the index gives for ``pattern``'s row."""
+    row = _texts(index, strings, len(pattern)).index(pattern)
+    instances, offsets = index.first_occurrences(len(pattern), np.array([row]))
+    return int(instances[0]), int(offsets[0])
 
 
 def _presence(index, length):
@@ -54,12 +59,12 @@ def _assert_matches_oracle(strings, alpha, l_max):
     for pat in oracle:
         by_len.setdefault(len(pat), set()).add(pat)
     for l in range(2, l_max + 1):
-        assert _patterns(index, l) == by_len.get(l, set())
+        assert _patterns(index, strings, l) == by_len.get(l, set())
     # the build carries sorted windows from one length to the next: rows
     # come in strictly increasing text order, each row's instances in
     # strictly increasing order
     for l in index.lengths():
-        texts = [index.row_text(l, r) for r in range(index.pattern_count(l))]
+        texts = _texts(index, strings, l)
         assert all(a < b for a, b in zip(texts, texts[1:]))
         table = index._tables[l]
         for r in range(index.pattern_count(l)):
@@ -68,53 +73,58 @@ def _assert_matches_oracle(strings, alpha, l_max):
         presence = _presence(index, l)
         for r, pat in enumerate(texts):
             assert set(np.flatnonzero(presence[r])) == oracle[pat]["instances"]
-    for pat, entry in oracle.items():
-        assert index.occurrence(len(pat), index.row_of(pat)) == entry["first"]
+        instances, offsets = index.first_occurrences(l, np.arange(len(texts)))
+        for pat, first in zip(texts, zip(instances.tolist(), offsets.tolist())):
+            assert first == oracle[pat]["first"]
 
 
 def test_build_two_identical_strings():
-    index = PatternIndex.build(_dataset(["ab", "ab"], 2), 2)
-    assert _patterns(index, 2) == {"ab"}
+    strings = ["ab", "ab"]
+    index = PatternIndex.build(_dataset(strings, 2), 2)
+    assert _patterns(index, strings, 2) == {"ab"}
     assert _presence(index, 2).tolist() == [[True, True]]
-    assert index.occurrence(2, index.row_of("ab")) == (0, 0)
+    assert _first(index, strings, "ab") == (0, 0)
 
 
 def test_build_hand_enumerated():
-    index = PatternIndex.build(_dataset(["abc", "bcd"], 4), 3)
-    assert _patterns(index, 2) == {"ab", "bc", "cd"}
+    strings = ["abc", "bcd"]
+    index = PatternIndex.build(_dataset(strings, 4), 3)
+    assert _patterns(index, strings, 2) == {"ab", "bc", "cd"}
     # rows in text order: ab, bc, cd
     assert _presence(index, 2).tolist() == [[True, False], [True, True], [False, True]]
-    assert _patterns(index, 3) == {"abc", "bcd"}
+    assert _patterns(index, strings, 3) == {"abc", "bcd"}
     assert _presence(index, 3).tolist() == [[True, False], [False, True]]
 
 
 def test_repeats_deduplicate():
-    index = PatternIndex.build(_dataset(["aaaa"], 2), 3)
-    assert _patterns(index, 2) == {"aa"}
-    assert _patterns(index, 3) == {"aaa"}
-    assert index.occurrence(2, index.row_of("aa")) == (0, 0)
-    assert index.occurrence(3, index.row_of("aaa")) == (0, 0)
+    strings = ["aaaa"]
+    index = PatternIndex.build(_dataset(strings, 2), 3)
+    assert _patterns(index, strings, 2) == {"aa"}
+    assert _patterns(index, strings, 3) == {"aaa"}
+    assert _first(index, strings, "aa") == (0, 0)
+    assert _first(index, strings, "aaa") == (0, 0)
 
 
 def test_first_occurrence_examples():
-    index = PatternIndex.build(_dataset(["abc", "bcd"], 4), 3)
-    assert index.occurrence(2, index.row_of("bc")) == (0, 1)
-    assert index.occurrence(3, index.row_of("bcd")) == (1, 0)
+    strings = ["abc", "bcd"]
+    index = PatternIndex.build(_dataset(strings, 4), 3)
+    assert _first(index, strings, "bc") == (0, 1)
+    assert _first(index, strings, "bcd") == (1, 0)
     index2 = PatternIndex.build(_dataset(["abab"], 2), 2)
-    assert index2.occurrence(2, index2.row_of("ab")) == (0, 0)
+    assert _first(index2, ["abab"], "ab") == (0, 0)
 
 
 def test_unknown_pattern_presence_is_zero_not_error():
-    index = PatternIndex.build(_dataset(["abc", "bcd"], 4), 3)
-    assert "dd" not in _patterns(index, 2)
-    assert index.row_of("dd") is None
+    strings = ["abc", "bcd"]
+    index = PatternIndex.build(_dataset(strings, 4), 3)
+    assert "dd" not in _patterns(index, strings, 2)
 
 
 @pytest.mark.parametrize("pattern", ["zz", "az", "za", "dz", "Ab", "b!"])
 def test_out_of_alphabet_pattern_is_absent(pattern):
-    index = PatternIndex.build(_dataset(["abcd", "dcba"], 4), 3)
-    assert pattern not in _patterns(index, len(pattern))
-    assert index.row_of(pattern) is None
+    strings = ["abcd", "dcba"]
+    index = PatternIndex.build(_dataset(strings, 4), 3)
+    assert pattern not in _patterns(index, strings, len(pattern))
 
 
 def test_length_out_of_range():
@@ -125,16 +135,18 @@ def test_length_out_of_range():
 
 
 def test_length_beyond_strings_is_empty():
-    index = PatternIndex.build(_dataset(["abc", "bcd"], 4), 6)
-    assert _patterns(index, 5) == set()
+    strings = ["abc", "bcd"]
+    index = PatternIndex.build(_dataset(strings, 4), 6)
+    assert _patterns(index, strings, 5) == set()
     assert index.pattern_count(5) == 0
 
 
 def test_short_strings_contribute_nothing():
-    index = PatternIndex.build(_dataset(["abcd", "xy"[:1] + "z"], 26), 4)
+    strings = ["abcd", "xy"[:1] + "z"]
+    index = PatternIndex.build(_dataset(strings, 26), 4)
     # second string has length 2: only its length-2 substring appears
-    assert "xz" in _patterns(index, 2)
-    assert _patterns(index, 4) == {"abcd"}
+    assert "xz" in _patterns(index, strings, 2)
+    assert _patterns(index, strings, 4) == {"abcd"}
 
 
 def test_distinct_substring_count_formula():
@@ -266,7 +278,7 @@ def test_tables_are_three_int32_arrays():
         arrays = list(vars(table).values())
         assert all(a.dtype == np.int32 for a in arrays)
         rows = index.pattern_count(l)
-        pairs = sum(sum(_substring_presence(strings, p)) for p in _patterns(index, l))
+        pairs = sum(sum(_substring_presence(strings, p)) for p in _patterns(index, strings, l))
         assert sum(a.nbytes for a in arrays) == 4 * (2 * rows + pairs + 1)
 
 
@@ -304,8 +316,8 @@ def test_presence_counts_matches_presence_vectors():
     for l in index.lengths():
         counts = index.presence_counts(l, class_of, 2)
         presence = _presence(index, l)
-        for row in range(index.pattern_count(l)):
-            vec = np.array(_substring_presence(strings, index.row_text(l, row)))
+        for row, pattern in enumerate(_texts(index, strings, l)):
+            vec = np.array(_substring_presence(strings, pattern))
             assert presence[row].tolist() == vec.tolist()
             assert counts[row, 0] == int(vec[class_of == 0].sum())
             assert counts[row, 1] == int(vec[class_of == 1].sum())
@@ -319,8 +331,8 @@ def test_presence_codes_sum_weights_of_present_instances():
     for l in index.lengths():
         codes = index.presence_codes(l, weights)
         assert codes.shape == (index.pattern_count(l),)
-        for row in range(index.pattern_count(l)):
-            vec = np.array(_substring_presence(strings, index.row_text(l, row)))
+        for row, pattern in enumerate(_texts(index, strings, l)):
+            vec = np.array(_substring_presence(strings, pattern))
             assert codes[row] == weights[vec].sum()
 
 

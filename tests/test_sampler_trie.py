@@ -1,13 +1,18 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ps2c.dataset import LabeledDataset
 from ps2c.discretizer import DiscretizedDataset, SaxParams
 from ps2c.pattern_index import PatternIndex
 from ps2c.quality import chi2_normalized_many, chi2_table, scale
 from ps2c.sampler_trie import fit_sampler
-from support import sampler_over
+from ps2c.shapelet_transform import ground_shapelets
+from support import naive_scan, sampler_over
 
 LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
@@ -19,14 +24,14 @@ def _dataset(strings, alpha):
     return DiscretizedDataset(SaxParams(alpha, 1), codes)
 
 
-def _index_of(patterns):
-    """An index whose instances are the given patterns, so each occurs in it."""
+def _split_of(patterns):
+    """A discretized split whose instances are the given patterns, so each occurs in it."""
     strings = [p for p, _ in (patterns.items() if hasattr(patterns, "items") else patterns)]
-    return PatternIndex.build(_dataset(strings, 26), max([2, *map(len, strings)]))
+    return _dataset(strings, 26)
 
 
 def _trie(inserts, tau=1.0, s_min=0.0):
-    return sampler_over(_index_of(inserts), inserts, tau=tau, s_min=s_min)
+    return sampler_over(_split_of(inserts), inserts, tau=tau, s_min=s_min)
 
 
 def _draw(trie, k, rng):
@@ -188,7 +193,7 @@ def test_path_probability_unknown_pattern():
         trie.path_probability("ba")
     with pytest.raises(KeyError):
         trie.path_probability("a")  # prefix exists but no terminal there
-    # "ab" has a row in the index, as a prefix of "abc", but is not stored
+    # "ab" occurs in the split, as a prefix of "abc", but is not stored
     with pytest.raises(KeyError):
         _trie([("abc", 0.4)]).path_probability("ab")
 
@@ -327,13 +332,11 @@ def test_fit_sampler_smin_zero_keeps_every_positive_pattern():
     trie = fit_sampler(ds, index, labels, 3, 0.0, 1.0)
     inserted = {p for p, _ in trie.iter_patterns()}
     sizes = np.array([2, 2])
-    for l in index.lengths():
-        for row in range(index.pattern_count(l)):
-            pat = index.row_text(l, row)
-            # per-class presence by substring search, not by the index
-            present = [sum(pat in s for s, c in zip(strings, labels) if c == k) for k in "12"]
-            q = chi2_normalized_many(np.array([present]), sizes)[0]
-            assert (pat in inserted) == (q > 0)
+    for pat in naive_scan(strings, 3):
+        # per-class presence by substring search, not by the index
+        present = [sum(pat in s for s, c in zip(strings, labels) if c == k) for k in "12"]
+        q = chi2_normalized_many(np.array([present]), sizes)[0]
+        assert (pat in inserted) == (q > 0)
 
 
 def test_fit_sampler_empty_when_nothing_discriminates():
@@ -359,19 +362,33 @@ def test_fit_sampler_rejects_labels_not_aligned_with_index():
         fit_sampler(ds, index, ["1", "2", "2"], 3, 0.05, 0.5)
 
 
-def _fit_reference(index, labels, s_min):
-    """Per-length chi2_normalized_many of the (patterns, classes) counts."""
+def _fit_reference(index, strings, labels, s_min):
+    """Per-length chi2_normalized_many of the (patterns, classes) counts.
+
+    Row r of a length's table is its r-th distinct substring in text
+    order, and that substring's earliest (instance, offset) comes from
+    ``naive_scan``, not from the index.
+    """
     classes = sorted(set(labels))
     class_of = np.array([classes.index(c) for c in labels])
     sizes = np.bincount(class_of)
-    lengths, rows, qs = [], [], []
+    oracle = naive_scan(strings, index.l_max)
+    lengths, instances, offsets, qs = [], [], [], []
     for l in index.lengths():
         q = chi2_normalized_many(index.presence_counts(l, class_of, sizes.size), sizes)
         accepted = np.nonzero((q >= s_min) & (q > 0.0))[0]
+        texts = sorted(p for p in oracle if len(p) == l)
+        firsts = [oracle[texts[row]]["first"] for row in accepted]
         lengths += [l] * accepted.size
-        rows += accepted.tolist()
+        instances += [i for i, _ in firsts]
+        offsets += [o for _, o in firsts]
         qs.append(q[accepted])
-    return np.array(lengths, np.int64), np.array(rows, np.int64), np.concatenate(qs)
+    return (
+        np.array(lengths, np.int64),
+        np.array(instances, np.int32),
+        np.array(offsets, np.int32),
+        np.concatenate(qs),
+    )
 
 
 @pytest.mark.parametrize(
@@ -396,10 +413,11 @@ def test_fit_sampler_scores_match_per_length_reference(
     )
     trie = fit_sampler(ds, index, labels, 6, s_min, 1.0)
     assert bool(tables) == table_path
-    lengths, rows, q = _fit_reference(index, labels, s_min)
+    lengths, instances, offsets, q = _fit_reference(index, strings, labels, s_min)
     assert trie.pattern_count > 0
     assert trie.lengths.tobytes() == lengths.tobytes()
-    assert trie.rows.tobytes() == rows.tobytes()
+    assert trie.instances.tobytes() == instances.tobytes()
+    assert trie.offsets.tobytes() == offsets.tobytes()
     assert trie.q.tobytes() == q.tobytes()
 
 
@@ -408,3 +426,60 @@ def test_to_text_mentions_terminals_and_weights():
     text = trie.to_text()
     assert "patterns=2" in text.splitlines()[0]
     assert "*" in text  # terminal markers present
+
+
+def test_sampler_outlives_its_index():
+    # the sampler stores occurrences and its discretized split, so the
+    # index it was fitted on is freed once the caller drops it
+    strings = ["abab", "abba", "cdcd", "cddc"]
+    labels = ["1", "1", "2", "2"]
+    ds = _dataset(strings, 4)
+    index = PatternIndex.build(ds, 3)
+    trie = fit_sampler(ds, index, labels, 3, 0.999, 1.0)
+    ref = weakref.ref(index)
+    del index
+    gc.collect()
+    assert ref() is None
+    assert {p for p, _ in trie.iter_patterns()} == {"ab", "ba", "cd", "dc"}
+    assert "root_weight=4" in trie.to_text()
+    assert trie.path_probability("cd") == pytest.approx(0.25, abs=1e-12)
+    series = tuple(np.arange(len(s), dtype=float) + 10 * i for i, s in enumerate(strings))
+    train = LabeledDataset(series, labels)
+    shapelets = ground_shapelets(train, trie, 4, np.random.default_rng(0))
+    assert sorted(sh.pattern for sh in shapelets) == ["ab", "ba", "cd", "dc"]
+    for sh in shapelets:
+        # omega 1: the values are the series under the earliest occurrence
+        start, source = sh.symbol_offset, sh.source_index
+        assert strings[source].find(sh.pattern) == start
+        assert all(sh.pattern not in s for s in strings[:source])
+        assert np.array_equal(sh.values, series[source][start : start + 2])
+
+
+@given(
+    st.lists(st.text(alphabet="abcd", max_size=12), min_size=4, max_size=12),
+    st.integers(2, 4),
+    st.integers(2, 5),
+)
+@settings(max_examples=100, deadline=None)
+def test_stored_occurrences_match_substring_search(strings, n_classes, l_max):
+    # every stored (instance, offset) is the pattern's earliest occurrence
+    # by plain substring search, and the store holds exactly the patterns
+    # with q > 0, in (length, text) order; at least 4 strings, so every
+    # class has one
+    labels = [str(i % n_classes) for i in range(len(strings))]
+    ds = _dataset(strings, 4)
+    trie = fit_sampler(ds, PatternIndex.build(ds, l_max), labels, l_max, 0.0, 1.0)
+    oracle = naive_scan(strings, l_max)
+    class_of = np.array([int(c) for c in labels])
+    sizes = np.bincount(class_of, minlength=n_classes)
+    expected = []
+    for pat in sorted(oracle, key=lambda p: (len(p), p)):
+        present = np.bincount(class_of[sorted(oracle[pat]["instances"])], minlength=n_classes)
+        if chi2_normalized_many(present[None, :], sizes)[0] > 0:
+            expected.append((pat, oracle[pat]["first"]))
+    stored = [
+        (trie.text(i), (int(trie.instances[i]), int(trie.offsets[i])))
+        for i in range(trie.pattern_count)
+    ]
+    assert stored == expected
+    assert trie.instances.dtype == trie.offsets.dtype == np.int32

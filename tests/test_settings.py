@@ -26,7 +26,7 @@ def _index():
 
 SAMPLER_SETTINGS = {
     "PipelineConfig": lambda tau, s_min: PipelineConfig(tau=tau, s_min=s_min),
-    "SamplerTrie": lambda tau, s_min: SamplerTrie(tau, s_min, _index(), [], [], []),
+    "SamplerTrie": lambda tau, s_min: SamplerTrie(tau, s_min, _discretized(), [], [], [], []),
     "fit_sampler": lambda tau, s_min: fit_sampler(_discretized(), _index(), ["1"], 2, s_min, tau),
     "scale": lambda tau, s_min: scale(0.5, tau),
 }

@@ -123,13 +123,16 @@ def _index_for(dataset, params, l_max):
 
 def _ground(pattern, ds, d, index):
     """The shapelet create_feature_sets grounds from a sampler holding only ``pattern``."""
-    trie = sampler_over(index, {pattern: 1.0})
+    trie = sampler_over(d, {pattern: 1.0})
     train, _ = create_feature_sets(ds, ds, d, index, trie, 1, np.random.default_rng(0))
     return train.shapelets[0]
 
 
-def _first_occurrence(index, pattern):
-    return index.occurrence(len(pattern), index.row_of(pattern))
+def _first_occurrence(d, pattern):
+    """The earliest (instance, offset) of ``pattern`` by substring search."""
+    texts = [sax_text(codes) for codes in d.codes]
+    instance = next(i for i, text in enumerate(texts) if pattern in text)
+    return instance, texts[instance].index(pattern)
 
 
 def test_reverse_lookup_unit_window_identity():
@@ -139,7 +142,7 @@ def test_reverse_lookup_unit_window_identity():
     d, index = _index_for(ds, SaxParams(4, 1), 4)
     pattern = sax_text(d.codes[0])[3:7]
     sh = _ground(pattern, ds, d, index)
-    first_inst, first_off = _first_occurrence(index, pattern)
+    first_inst, first_off = _first_occurrence(d, pattern)
     src = ds.series[first_inst]
     assert np.array_equal(sh.values, src[first_off : first_off + 4])
     assert sh.omega == 1 and sh.pattern == pattern
@@ -152,7 +155,7 @@ def test_reverse_lookup_window_arithmetic():
     ds = LabeledDataset((series, rng.normal(size=40)), ("1", "2"))
     d, index = _index_for(ds, SaxParams(6, 4), 10)
     pattern = sax_text(d.codes[0])[2:5]
-    inst, off = _first_occurrence(index, pattern)
+    inst, off = _first_occurrence(d, pattern)
     sh = _ground(pattern, ds, d, index)
     assert sh.values.size == 12
     assert np.array_equal(sh.values, ds.series[inst][off * 4 : off * 4 + 12])
@@ -165,7 +168,7 @@ def test_reverse_lookup_tail_truncation():
     ds = LabeledDataset((series, -series), ("1", "2"))
     d, index = _index_for(ds, SaxParams(2, 4), 3)
     pattern = sax_text(d.codes[0])[1:3]
-    inst, off = _first_occurrence(index, pattern)
+    inst, off = _first_occurrence(d, pattern)
     sh = _ground(pattern, ds, d, index)
     if inst == 0 and off == 1:
         assert sh.values.size == 6  # [4..10), not [4..12)
@@ -364,7 +367,7 @@ def test_create_feature_sets_deterministic():
 
 def test_create_feature_sets_k_exceeds_trie_patterns():
     train, test, d, index, _ = _fixture_cell()
-    trie = sampler_over(index, {"ab": 0.5, "ba": 0.5})
+    trie = sampler_over(d, {"ab": 0.5, "ba": 0.5})
     ftr, fte = create_feature_sets(train, test, d, index, trie, 4, np.random.default_rng(0))
     assert ftr.n_columns == 2  # min(k, pattern count) distinct draws
     assert fte.n_columns == 2
@@ -381,17 +384,8 @@ def test_create_feature_sets_rejects_empty_trie():
     train, test, d, index, _ = _fixture_cell()
     with pytest.raises(ValueError):
         create_feature_sets(
-            train, test, d, index, sampler_over(index, {}), 4, np.random.default_rng(0),
+            train, test, d, index, sampler_over(d, {}), 4, np.random.default_rng(0),
         )
-
-
-def test_create_feature_sets_rejects_sampler_of_another_index():
-    # an index rebuilt from the same data is equal but not the sampler's:
-    # the sampler's rows are only meaningful in the index it was fitted on
-    train, test, d, index, trie = _fixture_cell()
-    rebuilt = PatternIndex.build(d, index.l_max)
-    with pytest.raises(ValueError, match="different pattern index"):
-        create_feature_sets(train, test, d, rebuilt, trie, 4, np.random.default_rng(0))
 
 
 def test_feature_matrix_csv_roundtrip(tmp_path):
