@@ -6,19 +6,18 @@ from collections import Counter
 import numpy as np
 
 from ps2c import (
-    PatternIndex,
     SaxParams,
     SynthSpec,
     discretize,
     fit_sampler,
     generate,
+    length_tables,
     znormalize_dataset,
 )
 
 train = znormalize_dataset(generate(SynthSpec(n_per_class=20, length=64, seed=3)))
 disc = discretize(train, SaxParams(alpha=4, omega=8))
-index = PatternIndex.build(disc, l_max=4)
-trie = fit_sampler(disc, index, train.labels, l_max=4, s_min=0.2, tau=0.5)
+trie = fit_sampler(disc, length_tables(disc, l_max=4), train.labels, l_max=4, s_min=0.2, tau=0.5)
 
 print(trie.to_text())
 

@@ -3,13 +3,13 @@
 import numpy as np
 
 from ps2c import (
-    PatternIndex,
     SaxParams,
     SynthSpec,
     create_feature_sets,
     discretize,
     fit_sampler,
     generate,
+    length_tables,
     znormalize_dataset,
 )
 
@@ -17,11 +17,11 @@ train = znormalize_dataset(generate(SynthSpec(n_per_class=15, length=96, seed=11
 test = znormalize_dataset(generate(SynthSpec(n_per_class=15, length=96, seed=12)))
 
 disc = discretize(train, SaxParams(alpha=5, omega=6))
-index = PatternIndex.build(disc, l_max=6)
-trie = fit_sampler(disc, index, train.labels, l_max=6, s_min=0.1, tau=0.5)
+trie = fit_sampler(disc, length_tables(disc, l_max=6), train.labels, l_max=6, s_min=0.1, tau=0.5)
 
+# the sampler carries its patterns' occurrences, so no pattern index is passed
 rng = np.random.default_rng(1)
-ftr, fte = create_feature_sets(train, test, disc, index, trie, k=3, rng=rng)
+ftr, fte = create_feature_sets(train, test, disc, None, trie, k=3, rng=rng)
 
 for sh in ftr.shapelets:
     print(

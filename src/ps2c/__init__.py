@@ -22,7 +22,7 @@ from .discretizer import (
     sax,
     sax_text,
 )
-from .pattern_index import PatternIndex
+from .pattern_index import PatternIndex, length_tables
 from .pipeline import (
     ExperimentResult,
     NoPatternsError,
@@ -53,6 +53,7 @@ __all__ = [
     "sax_text",
     "discretize",
     "PatternIndex",
+    "length_tables",
     "fit_sampler",
     "create_feature_sets",
     "PipelineConfig",

@@ -21,7 +21,7 @@ from pathlib import Path
 
 from .dataset import load_ucr, znormalize_dataset
 from .discretizer import SaxParams, discretize, dump_text
-from .pattern_index import PatternIndex
+from .pattern_index import length_tables
 from .pipeline import (
     NoPatternsError,
     PipelineConfig,
@@ -121,8 +121,8 @@ def cmd_trie_dump(args) -> int:
     config = _config_from(args, alphas=(params.alpha,), omegas=(params.omega,))
     dataset = znormalize_dataset(load_ucr(args.train))
     discretized = discretize(dataset, params)
-    index = PatternIndex.build(discretized, config.l_max)
-    trie = fit_sampler(discretized, index, dataset.labels, config.l_max, config.s_min, config.tau)
+    tables = length_tables(discretized, config.l_max)
+    trie = fit_sampler(discretized, tables, dataset.labels, config.l_max, config.s_min, config.tau)
     if trie.is_empty:
         raise NoPatternsError("no discriminative patterns found")
     sys.stdout.write(trie.to_text() + "\n")

@@ -1,13 +1,15 @@
 """Grid orchestration: discretize, fit samplers, transform, classify.
 
 Runs the (alpha, omega) grid in two passes. The first fits one sampler
-per cell and grounds its K shapelets; the cell's pattern index and
-sampler are freed when it returns. The second computes one K-column
-feature block per cell that ran, split by split, so consecutive kernel
-calls share their work buffers. Blocks are concatenated in ascending
-(alpha, omega) order, then the built-in forest is trained and scored.
-Every random draw is tied to (seed, alpha, omega) streams so thread
-count and completion order cannot change any output value.
+per cell and grounds its K shapelets. The sampler scores the cell's
+pattern tables as ``length_tables`` builds them, one length at a time,
+so no pattern index is built; the sampler is freed when the cell
+returns. The second computes one K-column feature block per cell that
+ran, split by split, so consecutive kernel calls share their work
+buffers. Blocks are concatenated in ascending (alpha, omega) order,
+then the built-in forest is trained and scored. Every random draw is
+tied to (seed, alpha, omega) streams so thread count and completion
+order cannot change any output value.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 from .dataset import LabeledDataset, check_aligned, resample_split, znormalize_dataset
 from .discretizer import SaxParams, discretize
 from .forest import RandomForest
-from .pattern_index import PatternIndex, check_l_max
+from .pattern_index import check_l_max, length_tables
 from .quality import check_settings
 from .sampler_trie import fit_sampler
 from .shapelet_transform import FeatureMatrix, Shapelet, feature_columns, ground_shapelets
@@ -47,9 +49,12 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 # Seconds of these phases are summed over cells, so with several threads
-# they can exceed the grid's wall time. "transform" is each cell's
-# sampling and grounding in the first pass plus the second pass's kernel
-# calls, as each of its tasks times them.
+# they can exceed the grid's wall time. "index" is the time spent building
+# the pattern tables (each ``next`` of the cell's ``length_tables``
+# stream) and "score" the rest of ``fit_sampler``, which scores each table
+# as it arrives. "transform" is each cell's sampling and grounding in the
+# first pass plus the second pass's kernel calls, as each of its tasks
+# times them.
 CELL_PHASES = ("discretize", "index", "score", "transform")
 
 
@@ -114,6 +119,18 @@ class MergedFeatureSet:
     cell_seconds: dict[str, float]  # CELL_PHASES summed over cells
 
 
+def _timed(stream, seconds: dict[str, float], phase: str):
+    """Yield ``stream``'s items, adding the time of each ``next`` to ``seconds[phase]``."""
+    while True:
+        t = time.perf_counter()
+        item = next(stream, None)
+        seconds[phase] += time.perf_counter() - t
+        if item is None:
+            return
+        yield item
+        del item  # so the consumer can free it before the next is made
+
+
 def _run_cell(
     alpha: int,
     omega: int,
@@ -130,19 +147,17 @@ def _run_cell(
     t1 = time.perf_counter()
     seconds["discretize"] = t1 - t0
 
-    index = PatternIndex.build(dtrain, config.l_max)
+    tables = _timed(length_tables(dtrain, config.l_max), seconds, "index")
+    trie = fit_sampler(dtrain, tables, ztrain.labels, config.l_max, config.s_min, config.tau)
     t2 = time.perf_counter()
-    seconds["index"] = t2 - t1
-    trie = fit_sampler(dtrain, index, ztrain.labels, config.l_max, config.s_min, config.tau)
-    t3 = time.perf_counter()
-    seconds["score"] = t3 - t2
+    seconds["score"] = t2 - t1 - seconds["index"]
     if trie.is_empty:
         return CellResult(alpha, omega, seconds, reason="no pattern reached s_min")
 
     # Stream keyed on (seed, alpha, omega): independent of scheduling order.
     rng = np.random.default_rng([master_seed, alpha, omega])
     shapelets = ground_shapelets(ztrain, trie, config.k, rng)
-    seconds["transform"] = time.perf_counter() - t3
+    seconds["transform"] = time.perf_counter() - t2
     return CellResult(alpha, omega, seconds, tuple(shapelets))
 
 
@@ -170,8 +185,9 @@ def fit_transform(
     """Run every grid cell and concatenate the resulting feature blocks.
 
     The grid runs in two passes, on one thread pool when ``n_threads``
-    > 1. The first runs each cell up to its grounded shapelets, so a
-    cell's pattern index and sampler are freed before any distance is
+    > 1. The first runs each cell up to its grounded shapelets, scoring
+    each length's pattern table as it is built and dropping it, so no
+    table of a cell and no sampler is alive when any distance is
     computed. The second computes the cells' train and test blocks in
     at most ``n_threads`` runs of consecutive cells per split, one task
     per run, whose kernel calls share one set of work buffers; the

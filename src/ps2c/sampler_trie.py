@@ -1,15 +1,17 @@
 """Pattern sampler: a flat log-weight store drawn by Gumbel-top-k.
 
-Accepted patterns are parallel arrays: length, first instance and first
-offset (the pattern's earliest occurrence in dataset order), quality q
-and log-weight log(q)/tau. The sampler keeps the discretized split it
-was fitted on, whose codes give each pattern's text when it is asked
-for and whose SAX parameters name the cell; it keeps no reference to
-the pattern index. Pattern i is drawn with probability w_i / sum(w),
-where w = q**(1/tau). Adding Gumbel noise to every log-weight and
-keeping the k largest keys draws k distinct patterns with exactly the
-law of drawing one at a time and redrawing duplicates; log-weights never
-underflow, unlike w in float64.
+``fit_sampler`` scores the pattern tables one length at a time, as
+``length_tables`` yields them, and keeps only the accepted rows, so
+scoring never holds more than one length's table. Accepted patterns are
+parallel arrays: length, first instance and first offset (the pattern's
+earliest occurrence in dataset order), quality q and log-weight
+log(q)/tau. The sampler keeps the discretized split it was fitted on,
+whose codes give each pattern's text when it is asked for and whose SAX
+parameters name the cell; it keeps no table. Pattern i is drawn with
+probability w_i / sum(w), where w = q**(1/tau). Adding Gumbel noise to
+every log-weight and keeping the k largest keys draws k distinct
+patterns with exactly the law of drawing one at a time and redrawing
+duplicates; log-weights never underflow, unlike w in float64.
 
 The paper's weighted trie is computed from the store, not built: the
 weight of the edge ending in a prefix is the sum, in store order, of
@@ -138,7 +140,7 @@ class SamplerTrie:
 
 def fit_sampler(
     discretized,
-    index: PatternIndex,
+    tables,
     labels,
     l_max: int,
     s_min: float,
@@ -146,50 +148,59 @@ def fit_sampler(
 ) -> SamplerTrie:
     """Score every distinct pattern and store the accepted ones.
 
-    For each length 2..l_max, every distinct pattern is scored by
-    normalised chi-square; patterns reaching s_min (and strictly above
-    0) are kept, the rest discarded. Each kept pattern is stored as its
-    length, the (instance, offset) of its earliest occurrence, q and
-    log-weight, in (length, text) order. The sampler keeps
-    ``discretized``, the split ``index`` was built on, to slice texts
-    and name its cell, and no reference to ``index``. It may be empty,
+    ``tables`` is the stream ``length_tables(discretized, l_max)``, or a
+    ``PatternIndex`` built on ``discretized`` itself (another split
+    raises ``ValueError``). Each length's table is scored as it arrives:
+    every distinct pattern gets its normalised chi-square, and patterns
+    reaching s_min (and strictly above 0) are kept as their length, the
+    (instance, offset) of their earliest occurrence, q and log-weight, in
+    (length, text) order. Nothing else of the table is kept, so a stream
+    holds one length's table at a time. The sampler keeps
+    ``discretized`` to slice texts and name its cell. It may be empty,
     in which case the caller skips this (alpha, omega) cell.
 
     A score depends only on the pattern's per-class presence counts, so
-    when the split has no more possible count vectors, prod(n_c + 1),
-    than the cell has patterns, each pattern's score is looked up in
-    ``chi2_table`` by its count code. Otherwise (many classes) each
-    length's count array is scored by ``chi2_normalized_many``. Both
-    give the same bits.
+    it can be looked up in ``chi2_table`` by the pattern's count code.
+    That table scores every possible count vector, prod(n_c + 1) of
+    them, once per split (it is memoised). It is used from the first
+    length when the split has at least that many symbols, since it then
+    costs less than one length's sort, and otherwise from the first
+    length at which the tables so far hold that many patterns. Until
+    then (throughout, with many classes) each length's count array is
+    scored by ``chi2_normalized_many``. Both give the same bits.
     """
-    if index.l_max != l_max:
-        raise ValueError(
-            f"index was built with l_max={index.l_max}, expected {l_max}"
-        )
+    check_settings(tau, s_min)  # before any table is built
+    if isinstance(tables, PatternIndex):
+        if tables.discretized is not discretized:
+            raise ValueError("index was built on another discretized split")
+        if tables.l_max != l_max:
+            raise ValueError(f"index was built with l_max={tables.l_max}, expected {l_max}")
+        tables = tables.tables()
     classes, class_of = class_codes(labels)
-    if class_of.size != index.n_instances:
+    if class_of.size != discretized.n_instances:
         raise ValueError("labels must align with the indexed instances")
     class_sizes = np.bincount(class_of, minlength=len(classes))
-
     sizes = tuple(int(n) for n in class_sizes)
-    table = None
-    if math.prod(n + 1 for n in sizes) <= sum(map(index.pattern_count, index.lengths())):
-        strides, table = chi2_table(sizes)
-        instance_stride = strides[class_of]
+    n_vectors, n_patterns, scores = math.prod(n + 1 for n in sizes), 0, None
+    n_symbols = sum(codes.size for codes in discretized.codes)
 
     lengths, qs = [np.empty(0, np.int64)], [np.empty(0)]
     instances, offsets = [np.empty(0, np.int32)], [np.empty(0, np.int32)]
-    for length in index.lengths():
-        if table is None:
-            counts = index.presence_counts(length, class_of, len(classes))
-            q = chi2_normalized_many(counts, class_sizes)
+    for length, table in tables:
+        n_patterns += table.n_patterns
+        if scores is None and max(n_symbols, n_patterns) >= n_vectors:
+            strides, scores = chi2_table(sizes)
+            instance_stride = strides[class_of]
+        if scores is None:
+            q = chi2_normalized_many(table.presence_counts(class_of, len(classes)), class_sizes)
         else:
-            q = table[index.presence_codes(length, instance_stride)]
+            q = scores[table.presence_codes(instance_stride)]
         accepted = np.flatnonzero((q >= s_min) & (q > 0.0))
-        first_instance, first_offset = index.first_occurrences(length, accepted)
+        first_instance, first_offset = table.first_occurrences(accepted)
         lengths.append(np.full(accepted.size, length, dtype=np.int64))
         instances.append(first_instance)
         offsets.append(first_offset)
         qs.append(q[accepted])
+        del table, q  # freed before the stream builds the next length
     columns = map(np.concatenate, (lengths, instances, offsets, qs))
     return SamplerTrie(tau, s_min, discretized, *columns)

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ps2c import pipeline, shapelet_transform
+from ps2c import pattern_index, pipeline, shapelet_transform
 from ps2c.dataset import LabeledDataset, resample_split, znormalize_dataset
 from ps2c.discretizer import SaxParams, discretize
 from ps2c.pattern_index import PatternIndex
@@ -98,31 +98,43 @@ def test_single_cell_config_equals_direct_cell():
 
 @pytest.mark.parametrize("n_threads", [1, 2])
 def test_no_pattern_index_is_alive_while_the_kernel_runs(monkeypatch, n_threads):
-    # the grid grounds every cell first, so each cell's index (and the
-    # sampler holding it) is freed before any distance is computed
-    built = weakref.WeakSet()
+    # pass 1 scores each length's table as the stream yields it and frees
+    # it before the next length is built: no PatternIndex is made, each
+    # thread holds at most one table, and none is alive at a kernel call
+    alive = weakref.WeakSet()
     lock = threading.Lock()
-    build = PatternIndex.build
+    alive_at_build, alive_at_kernel, indexes = [], [], []
     kernel = shapelet_transform._distance_matrix
-    alive_at_kernel = []
+    init = PatternIndex.__init__
 
-    def recording_build(*args):
-        index = build(*args)
-        with lock:
-            built.add(index)
-        return index
+    class WatchedTable(pattern_index._LengthTable):
+        __hash__ = object.__hash__  # for the WeakSet
+
+        def __init__(self, *arrays):
+            super().__init__(*arrays)
+            with lock:
+                alive.add(self)
+                alive_at_build.append(len(alive))
+
+    def recording_init(self, *args):
+        indexes.append(type(self).__name__)
+        init(self, *args)
 
     def watched_kernel(*args):
         with lock:
-            alive_at_kernel.append(len(built))
+            alive_at_kernel.append(len(alive))
         return kernel(*args)
 
-    monkeypatch.setattr(PatternIndex, "build", recording_build)
+    monkeypatch.setattr(pattern_index, "_LengthTable", WatchedTable)
+    monkeypatch.setattr(PatternIndex, "__init__", recording_init)
     monkeypatch.setattr(shapelet_transform, "_distance_matrix", watched_kernel)
     train, test = _planted(8, 48)
     cfg = PipelineConfig(alphas=(2, 3), omegas=(2, 3))
     merged = fit_transform(train, test, cfg, n_threads=n_threads)
     assert merged.train.n_columns == 16
+    assert indexes == []
+    assert len(alive_at_build) > 4 * 10  # four cells, lengths 2..20 mostly present
+    assert max(alive_at_build) <= n_threads
     assert alive_at_kernel == [0] * 8  # two kernel calls per cell
 
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from ps2c.dataset import LabeledDataset
 from ps2c.discretizer import DiscretizedDataset, SaxParams
-from ps2c.pattern_index import PatternIndex
+from ps2c.pattern_index import PatternIndex, length_tables
 from ps2c.quality import chi2_normalized_many, chi2_table, scale
 from ps2c.sampler_trie import fit_sampler
 from ps2c.shapelet_transform import ground_shapelets
@@ -360,6 +360,31 @@ def test_fit_sampler_rejects_labels_not_aligned_with_index():
     index = PatternIndex.build(ds, 3)
     with pytest.raises(ValueError, match="align with the indexed instances"):
         fit_sampler(ds, index, ["1", "2", "2"], 3, 0.05, 0.5)
+
+
+def test_fit_sampler_rejects_an_index_of_another_split():
+    # an index keeps the split it was built on; scoring it against another
+    # split of the same size would slice every stored text from the wrong codes
+    built_on = _dataset(["abab", "abba", "cdcd", "cddc"], 4)
+    other = _dataset(["dddd", "dddd", "aaaa", "aaaa"], 4)
+    index = PatternIndex.build(built_on, 2)
+    with pytest.raises(ValueError, match="another discretized split"):
+        fit_sampler(other, index, ["1", "1", "2", "2"], 2, 0.999, 1.0)
+    trie = fit_sampler(built_on, index, ["1", "1", "2", "2"], 2, 0.999, 1.0)
+    assert {p for p, _ in trie.iter_patterns()} == {"ab", "ba", "cd", "dc"}
+
+
+def test_fit_sampler_scores_the_stream_as_the_index():
+    # the stream of length tables and the index built from it store the same sampler
+    rng = np.random.default_rng(3)
+    strings = ["".join(rng.choice(list("abcd"), size=rng.integers(3, 20))) for _ in range(9)]
+    labels = [str(i % 3) for i in range(9)]
+    ds = _dataset(strings, 4)
+    from_index = fit_sampler(ds, PatternIndex.build(ds, 5), labels, 5, 0.05, 0.5)
+    from_stream = fit_sampler(ds, length_tables(ds, 5), labels, 5, 0.05, 0.5)
+    assert from_index.pattern_count > 0
+    for name in ("lengths", "instances", "offsets", "q"):
+        assert getattr(from_stream, name).tobytes() == getattr(from_index, name).tobytes()
 
 
 def _fit_reference(index, strings, labels, s_min):
