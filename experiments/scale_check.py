@@ -12,8 +12,9 @@ with the test split made from seed 1, at the given thread count, and
 reports the wall time of `fit_transform` alone and the process's peak
 RSS (`RUSAGE_SELF`, which also covers the import and the input
 generation). One line is printed per run, then a JSON summary: the
-median and quartiles of both per tree, and the pairs each tree was
-faster in.
+median and quartiles of both per tree, the pairs each tree was faster
+in and the pairs each tree had the lower peak RSS in. A tie counts for
+neither tree.
 """
 
 from __future__ import annotations
@@ -54,6 +55,12 @@ def run_once(src: Path, args) -> dict:
     return result
 
 
+def lower_pairs(parent: list[float], change: list[float]) -> dict[str, int]:
+    """The pairs in which each tree's value was lower; a tie counts for neither."""
+    pairs = list(zip(parent, change, strict=True))
+    return {"parent": sum(p < c for p, c in pairs), "change": sum(c < p for p, c in pairs)}
+
+
 def quartiles(values: list[float]) -> dict[str, float]:
     q1, median, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
     return {"q1": q1, "median": median, "q3": q3}
@@ -86,8 +93,9 @@ def main(argv=None) -> int:
         }
         for side, results in runs.items()
     }
-    wins = sum(c["seconds"] < p["seconds"] for p, c in zip(runs["parent"], runs["change"]))
-    summary["faster_pairs"] = {"parent": args.pairs - wins, "change": wins}
+    for key, metric in (("faster_pairs", "seconds"), ("lower_peak_rss_pairs", "peak_rss_mib")):
+        parent, change = ([r[metric] for r in runs[side]] for side in ("parent", "change"))
+        summary[key] = lower_pairs(parent, change)
     print(json.dumps(summary, indent=2))
     return 0
 

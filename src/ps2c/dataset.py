@@ -65,13 +65,14 @@ class LabeledDataset:
     own length downstream. Safe for concurrent read access.
 
     Arrays that every grid cell derives from the same split (PAA values
-    per omega, the distance kernel's padded rows and spectra) are
-    memoised on the dataset by :meth:`shared`, so they live as long as
-    the split does. A dataset that carries a memo is an object, not a
-    value, so datasets compare and hash by identity. The memo takes no
-    part in ``repr``, and every dataset, including those made by
-    ``znormalize_dataset`` and ``resample_split``, starts with an empty
-    one.
+    per omega) are memoised on the dataset by :meth:`shared`, so they
+    live as long as the split does, or until ``fit_transform`` clears
+    them after its first pass. The distance kernel's padded rows are
+    not memoised: ``fit_transform`` builds one split's at a time. A
+    dataset that carries a memo is an object, not a value, so datasets
+    compare and hash by identity. The memo takes no part in ``repr``,
+    and every dataset, including those made by ``znormalize_dataset``
+    and ``resample_split``, starts with an empty one.
     """
 
     series: tuple[np.ndarray, ...]

@@ -5,11 +5,12 @@ per cell and grounds its K shapelets. The sampler scores the cell's
 pattern tables as ``length_tables`` builds them, one length at a time,
 so no pattern index is built; the sampler is freed when the cell
 returns. The second computes one K-column feature block per cell that
-ran, split by split, so consecutive kernel calls share their work
-buffers. Blocks are concatenated in ascending (alpha, omega) order,
-then the built-in forest is trained and scored. Every random draw is
-tied to (seed, alpha, omega) streams so thread count and completion
-order cannot change any output value.
+ran, one split at a time: the split's padded rows are built once,
+shared by its tasks and freed before the next split's, and consecutive
+kernel calls share their work buffers. Blocks are concatenated in
+ascending (alpha, omega) order, then the built-in forest is trained
+and scored. Every random draw is tied to (seed, alpha, omega) streams
+so thread count and completion order cannot change any output value.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -29,7 +31,13 @@ from .forest import RandomForest
 from .pattern_index import check_l_max, length_tables
 from .quality import check_settings
 from .sampler_trie import fit_sampler
-from .shapelet_transform import FeatureMatrix, Shapelet, feature_columns, ground_shapelets
+from .shapelet_transform import (
+    FeatureMatrix,
+    Shapelet,
+    _feature_blocks,
+    _PaddedRows,
+    ground_shapelets,
+)
 
 __all__ = [
     "PipelineConfig",
@@ -53,8 +61,8 @@ logger = logging.getLogger(__name__)
 # the pattern tables (each ``next`` of the cell's ``length_tables``
 # stream) and "score" the rest of ``fit_sampler``, which scores each table
 # as it arrives. "transform" is each cell's sampling and grounding in the
-# first pass plus the second pass's kernel calls, as each of its tasks
-# times them.
+# first pass plus the second pass's build of each split's padded rows and
+# its kernel calls, as each of its tasks times them.
 CELL_PHASES = ("discretize", "index", "score", "transform")
 
 
@@ -188,9 +196,12 @@ def fit_transform(
     > 1. The first runs each cell up to its grounded shapelets, scoring
     each length's pattern table as it is built and dropping it, so no
     table of a cell and no sampler is alive when any distance is
-    computed. The second computes the cells' train and test blocks in
-    at most ``n_threads`` runs of consecutive cells per split, one task
-    per run, whose kernel calls share one set of work buffers; the
+    computed; the training split's PAA memo is cleared after it. The
+    second runs one split at a time, train then test: it builds the
+    split's padded rows, computes the split's blocks in at most
+    ``n_threads`` runs of consecutive cells, one task per run, all
+    reading those rows, and frees them before the next split's are
+    built. A task's kernel calls share one set of work buffers; the
     blocks are merged in grid order.
 
     Cells with omega >= the shortest training series' length, or
@@ -220,10 +231,9 @@ def fit_transform(
     def run(cell):
         return _run_cell(*cell, ztrain, config, master_seed)
 
-    def transform(task):
-        split, chunk = task
+    def transform(padded, chunk):
         t = time.perf_counter()
-        blocks = list(feature_columns(split, (c.shapelets for c in chunk)))
+        blocks = list(_feature_blocks(padded, (c.shapelets for c in chunk)))
         return blocks, time.perf_counter() - t
 
     # map cancels the tasks not yet started once one raises
@@ -236,18 +246,24 @@ def fit_transform(
             reasons = sorted(Counter(c.reason for c in skipped).items())
             counted = "; ".join(f"{n} cell{'s' * (n != 1)}: {r}" for r, n in reasons)
             raise NoPatternsError(f"no discriminative patterns found ({counted})")
-        # one task per split and run of consecutive cells, at most
-        # n_threads runs per split; a task's kernel calls share one set
-        # of work buffers
+        ztrain._memo.clear()  # pass 1's PAA values are not read again
+        # one task per run of consecutive cells, at most n_threads runs;
+        # a task's kernel calls share one set of work buffers
         size = -(-len(ran) // n_threads)
         chunks = [ran[i : i + size] for i in range(0, len(ran), size)]
-        tasks = [(split, chunk) for split in (ztrain, ztest) for chunk in chunks]
-        transformed = tuple(map_(transform, tasks))
+        blocks, transform_seconds = [], 0.0
+        for split in (ztrain, ztest):
+            t = time.perf_counter()
+            padded = _PaddedRows.of(split.series)
+            transform_seconds += time.perf_counter() - t
+            for chunk_blocks, seconds in map_(partial(transform, padded), chunks):
+                blocks += chunk_blocks
+                transform_seconds += seconds
+            del padded  # before the next split's rows are built
 
     timings = {"znormalize": znorm_seconds, "grid": time.perf_counter() - t1}
     cell_seconds = {phase: sum(c.seconds[phase] for c in results) for phase in CELL_PHASES}
-    cell_seconds["transform"] += sum(seconds for _, seconds in transformed)
-    blocks = [block for chunk_blocks, _ in transformed for block in chunk_blocks]
+    cell_seconds["transform"] += transform_seconds
     trains, tests = blocks[: len(ran)], blocks[len(ran) :]
     split_lengths = (np.array(ztrain.lengths), np.array(ztest.lengths))
     for cell in ran:

@@ -18,12 +18,15 @@ products, window energies are +inf past each series' end, and the best
 alignment is re-evaluated exactly with its near-ties. A shapelet longer
 than a series falls back to the single head alignment inside the same
 call. The series side of the kernel (padded rows, prefix sums of
-squares, rfft spectra) is built once per split and memoised on its
-dataset, so each call transforms only the shapelets it is given: one
-grid cell's. The pipeline grounds every cell first and then runs the
-cells' calls one after another per split, and those calls share the
-kernel's two N x transform-length work buffers, so the buffers stay
-mapped between calls instead of being faulted in again by each one.
+squares, rfft spectra) is built once per split and shared by that
+split's calls, so each call transforms only the shapelets it is given:
+one grid cell's. An equal-length split keeps one prefix-sum array,
+since no window runs into padding. The pipeline grounds every cell
+first and then transforms one split at a time: the split's rows are
+freed before the next split's are built, and the cells' calls on one
+split share the kernel's two N x transform-length work buffers, so the
+buffers stay mapped between calls instead of being faulted in again by
+each one.
 """
 
 from __future__ import annotations
@@ -110,7 +113,8 @@ class _PaddedRows(NamedTuple):
     prefix sums of their squares, ``reach`` the same set to +inf past
     each row's end (so window energies that run into the padding are
     +inf), ``spectra`` their rfft at the power-of-two length ``fft_len``
-    >= n_max. All arrays are read-only.
+    >= n_max. When every row has length n_max no window runs into the
+    padding, and ``reach`` is ``csum`` itself. All arrays are read-only.
     """
 
     lengths: np.ndarray
@@ -129,17 +133,15 @@ class _PaddedRows(NamedTuple):
             stacked[i, : x.size] = x
         csum = np.zeros((lengths.size, n_max + 1))
         np.cumsum(stacked * stacked, axis=1, out=csum[:, 1:])
-        reach = np.where(np.arange(n_max + 1) > lengths[:, None], np.inf, csum)
+        if lengths.min() == n_max:
+            reach = csum  # the mask below would be all False
+        else:
+            reach = np.where(np.arange(n_max + 1) > lengths[:, None], np.inf, csum)
         fft_len = 1 << (n_max - 1).bit_length()
         spectra = np.fft.rfft(stacked, fft_len, axis=1)
         for array in (lengths, stacked, csum, reach, spectra):
             array.flags.writeable = False
         return cls(lengths, stacked, csum, reach, spectra, fft_len)
-
-
-def _shared_rows(dataset: LabeledDataset) -> _PaddedRows:
-    """The dataset's padded rows, built on first use and memoised on it."""
-    return dataset.shared("padded_rows", lambda: _PaddedRows.of(dataset.series))
 
 
 def _scratch(padded: _PaddedRows) -> tuple[np.ndarray, np.ndarray]:
@@ -153,7 +155,7 @@ def _distance_matrix(padded: _PaddedRows, shapelets, scratch=None) -> np.ndarray
     Entry (i, j) is the minimum of mean((window - shapelet j)**2) over
     the alignments in series i. The series are zero-padded into one
     N x n_max array (``padded``, built once per split and shared by
-    every grid cell). Prefix sums of squares give every window's energy
+    that split's calls). Prefix sums of squares give every window's energy
     in O(1), and FFT sliding dot products make the alignment search
     O(N n log n) per shapelet instead of O(N n s). With a transform
     length L >= n_max the circular correlation never wraps on the
@@ -269,11 +271,16 @@ def feature_columns(
 ) -> Iterator[FeatureMatrix]:
     """Yield one min-distance matrix per set of shapelets, over one split.
 
-    Each set takes one kernel call against the split's memoised padded
-    rows, and the calls share one set of work buffers. Labels are never
-    read: the transform sees only series values.
+    The split's padded rows are built once per call and freed with the
+    generator. Each set takes one kernel call against them, and the
+    calls share one set of work buffers. Labels are never read: the
+    transform sees only series values.
     """
-    padded = _shared_rows(dataset)
+    yield from _feature_blocks(_PaddedRows.of(dataset.series), shapelet_sets)
+
+
+def _feature_blocks(padded: _PaddedRows, shapelet_sets) -> Iterator[FeatureMatrix]:
+    """``feature_columns`` over rows built by the caller, who may share them."""
     scratch = _scratch(padded)
     for shapelets in shapelet_sets:
         shapelets = list(shapelets)

@@ -158,6 +158,44 @@ def test_second_pass_makes_one_set_of_work_buffers_per_task(monkeypatch, n_threa
     assert sorted(made) == [10] * n_threads + [16] * n_threads
 
 
+def test_each_kernel_call_sees_one_splits_rows_and_no_paa_memo(monkeypatch):
+    # pass 2 builds one split's padded rows at a time and frees them
+    # before the next split's are built, and pass 1's PAA memo is
+    # cleared before pass 2 starts. The rows are followed by weak
+    # references to each split's stacked array: _PaddedRows is a tuple,
+    # and an ndarray is unhashable, so neither fits a WeakSet.
+    stacked, datasets, seen = [], [], []
+    build = shapelet_transform._PaddedRows.of
+    kernel = shapelet_transform._distance_matrix
+    znormalize = pipeline.znormalize_dataset
+
+    def watched_build(series_list):
+        padded = build(series_list)
+        stacked.append(weakref.ref(padded.stacked))
+        return padded
+
+    def recording_znormalize(dataset):
+        datasets.append(znormalize(dataset))
+        return datasets[-1]
+
+    def watched_kernel(padded, *args):
+        alive = sum(ref() is not None for ref in stacked)
+        memo = sum(len(ds._memo) for ds in datasets)
+        seen.append((padded.lengths.size, alive, memo))
+        return kernel(padded, *args)
+
+    monkeypatch.setattr(shapelet_transform._PaddedRows, "of", staticmethod(watched_build))
+    monkeypatch.setattr(pipeline, "znormalize_dataset", recording_znormalize)
+    monkeypatch.setattr(shapelet_transform, "_distance_matrix", watched_kernel)
+    train, test = _planted(8, 48)
+    test = LabeledDataset(test.series[:10], test.labels[:10])
+    cfg = PipelineConfig(alphas=(2, 3), omegas=(2, 3))
+    merged = fit_transform(train, test, cfg, n_threads=1)
+    assert merged.train.n_columns == 16
+    assert len(datasets) == 2 and len(stacked) == 2
+    assert seen == [(16, 1, 0)] * 4 + [(10, 1, 0)] * 4
+
+
 @pytest.mark.parametrize("n_threads", [1, 2])
 def test_fit_transform_merges_the_per_cell_feature_sets_in_grid_order(n_threads):
     rng = np.random.default_rng(8)

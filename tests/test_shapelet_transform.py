@@ -18,7 +18,6 @@ from ps2c.shapelet_transform import (
     Shapelet,
     _PaddedRows,
     _distance_matrix,
-    _shared_rows,
     create_feature_sets,
     feature_columns,
 )
@@ -442,28 +441,51 @@ def test_variable_length_series_supported():
 
 
 def test_shared_rows_match_the_per_call_path_bitwise():
-    # train and test of different maximum lengths each keep their own
-    # padded rows; kernel calls read them and never write
+    # train and test of different maximum lengths each get their own
+    # padded rows; the kernel calls that share one split's rows read
+    # them and never write, and match a call on freshly built rows
     rng = np.random.default_rng(8)
     train = LabeledDataset(tuple(rng.normal(size=n) for n in (30, 24, 30, 17)), ("a", "b", "a", "b"))
     test = LabeledDataset(tuple(rng.normal(size=n) for n in (45, 12, 33)), ("a", "b", "a"))
     shapelets = [_shapelet(rng.normal(size=s)) for s in (3, 16, 31)]
     shapelets.append(_shapelet(train.series[1][4:14]))
-    expected = {
-        "train": _distance_matrix(_PaddedRows.of(train.series), shapelets),
-        "test": _distance_matrix(_PaddedRows.of(test.series), shapelets),
-    }
-    for _ in range(2):
-        for name, ds in (("train", train), ("test", test)):
-            padded = _shared_rows(ds)
-            assert padded is _shared_rows(ds)
-            arrays = {k: v for k, v in padded._asdict().items() if isinstance(v, np.ndarray)}
-            assert "reach" in arrays
-            assert [k for k, v in arrays.items() if v.flags.writeable] == []
-            out = _distance_matrix(padded, shapelets)
-            assert out.tobytes() == expected[name].tobytes()
-    assert _shared_rows(train).stacked.shape == (4, 30)
-    assert _shared_rows(test).stacked.shape == (3, 45)
+    for ds, shape in ((train, (4, 30)), (test, (3, 45))):
+        expected = _distance_matrix(_PaddedRows.of(ds.series), shapelets)
+        padded = _PaddedRows.of(ds.series)
+        assert padded.stacked.shape == shape
+        arrays = {k: v for k, v in padded._asdict().items() if isinstance(v, np.ndarray)}
+        assert "reach" in arrays
+        assert [k for k, v in arrays.items() if v.flags.writeable] == []
+        scratch = shapelet_transform._scratch(padded)
+        for _ in range(2):
+            out = _distance_matrix(padded, shapelets, scratch)
+            assert out.tobytes() == expected.tobytes()
+        blocks = list(feature_columns(ds, [shapelets, shapelets]))
+        assert [b.values.tobytes() for b in blocks] == [expected.tobytes()] * 2
+
+
+def test_equal_length_rows_keep_one_prefix_sum_array():
+    # with every row at n_max no window runs into the padding: reach is
+    # csum itself and the kernel matches the masking reference bitwise;
+    # a ragged split keeps its copy, +inf past each row's end
+    rng = np.random.default_rng(10)
+    equal = [rng.normal(size=40) for _ in range(5)]
+    shapelets = [_shapelet(rng.normal(size=s)) for s in (3, 17, 40, 41)]
+    shapelets.append(_shapelet(equal[2][5:20]))
+    padded = _PaddedRows.of(equal)
+    assert padded.reach is padded.csum
+    expected = _distance_matrix_reference(padded, shapelets)
+    assert _distance_matrix(padded, shapelets).tobytes() == expected.tobytes()
+
+    ragged = equal[:3] + [equal[3][:25], equal[4][:9]]
+    padded = _PaddedRows.of(ragged)
+    assert padded.reach is not padded.csum
+    past = np.arange(41) > padded.lengths[:, None]
+    assert np.count_nonzero(past) == 15 + 31
+    assert np.all(padded.reach[past] == np.inf)
+    assert padded.reach[~past].tobytes() == padded.csum[~past].tobytes()
+    expected = _distance_matrix_reference(padded, shapelets)
+    assert _distance_matrix(padded, shapelets).tobytes() == expected.tobytes()
 
 
 def test_feature_columns_reuse_the_work_buffers_bitwise():
